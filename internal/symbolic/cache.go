@@ -6,11 +6,13 @@ package symbolic
 // The analysis recanonicalizes the same expressions thousands of times per
 // loop nest (every dependence pair, every sign proof and every aggregation
 // step re-simplifies its operands), so Simplify results are memoized under
-// a structurally injective key. All caches are safe for concurrent use;
-// because Simplify is deterministic, a cached result is bit-identical to a
-// recomputed one, which is what makes the concurrent batch driver's output
-// reproducible. Hit/miss/eviction counters are exported for the
-// compile-time experiments.
+// a structurally injective key. Keys are rendered into pooled byte
+// buffers and probed without conversion, so a hit allocates nothing and
+// only an insert copies its key into a string. All caches are safe for
+// concurrent use; because Simplify is deterministic, a cached result is
+// bit-identical to a recomputed one, which is what makes the concurrent
+// batch driver's output reproducible. Hit/miss/eviction counters are
+// exported for the compile-time experiments.
 
 import (
 	"strconv"
@@ -43,23 +45,23 @@ type shardedCache[T any] struct {
 }
 
 // fnv32a hashes a key to pick its shard.
-func fnv32a(s string) uint32 {
+func fnv32a(key []byte) uint32 {
 	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
+	for _, c := range key {
+		h ^= uint32(c)
 		h *= 16777619
 	}
 	return h
 }
 
-func (c *shardedCache[T]) shardFor(key string) *cacheShard[T] {
+func (c *shardedCache[T]) shardFor(key []byte) *cacheShard[T] {
 	return &c.shards[fnv32a(key)&(cacheShardCount-1)]
 }
 
-func (c *shardedCache[T]) get(key string) (T, bool) {
+func (c *shardedCache[T]) get(key []byte) (T, bool) {
 	s := c.shardFor(key)
 	s.mu.RLock()
-	v, ok := s.m[key]
+	v, ok := s.m[string(key)] // converted without allocating
 	s.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
@@ -69,16 +71,18 @@ func (c *shardedCache[T]) get(key string) (T, bool) {
 	return v, ok
 }
 
-func (c *shardedCache[T]) put(key string, v T) {
+// put stores v under key. Shard maps grow from empty: one program stores
+// only tens to low hundreds of results across all shards.
+func (c *shardedCache[T]) put(key []byte, v T) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if s.m == nil {
-		s.m = make(map[string]T, 64)
+		s.m = make(map[string]T)
 	} else if len(s.m) >= cacheShardCap {
-		s.m = make(map[string]T, 64)
+		s.m = make(map[string]T)
 		c.evictions.Add(1)
 	}
-	s.m[key] = v
+	s.m[string(key)] = v
 	s.mu.Unlock()
 }
 
@@ -123,7 +127,9 @@ func SetCacheEnabled(on bool) bool {
 // CacheEnabled reports whether the memoization layer is active.
 func CacheEnabled() bool { return !cacheOff.Load() }
 
-// ResetCache empties every cache and zeroes the counters.
+// ResetCache empties every cache and zeroes the counters. It drops the
+// shard maps rather than clearing them, so the next pass pays for its
+// maps as a fresh process does.
 func ResetCache() {
 	simpCache.reset()
 	canonCache.reset()
@@ -188,11 +194,12 @@ func Intern(e Expr) Expr {
 		// best-effort, so just hand the instance back.
 		return e
 	}
-	key := structuralKey(e)
-	if v, ok := internCache.get(key); ok {
+	bp := getKey(e)
+	defer keyBufs.Put(bp)
+	if v, ok := internCache.get(*bp); ok {
 		return v
 	}
-	internCache.put(key, e)
+	internCache.put(*bp, e)
 	internCount.Add(1)
 	return e
 }
@@ -212,12 +219,13 @@ func CanonicalString(e Expr) string {
 	if cacheOff.Load() {
 		return Simplify(e).String()
 	}
-	key := structuralKey(e)
-	if s, ok := canonCache.get(key); ok {
+	bp := getKey(e)
+	defer keyBufs.Put(bp)
+	if s, ok := canonCache.get(*bp); ok {
 		return s
 	}
 	s := Simplify(e).String()
-	canonCache.put(key, s)
+	canonCache.put(*bp, s)
 	return s
 }
 
@@ -230,115 +238,124 @@ func Compare(a, b Expr) int {
 
 // ---- structural keys ----
 
-// structuralKey renders an injective encoding of e's structure. It differs
-// from String in that it loses nothing: Tagged conditions, the distinction
-// between Sym/Lambda/BigLambda with colliding renderings, and list arities
-// are all encoded, so two distinct expressions never share a key.
-func structuralKey(e Expr) string {
-	var b strings.Builder
-	appendKey(&b, e)
-	return b.String()
+// keyBufs recycles the buffers memo keys are rendered into. A caller
+// holds its buffer until its probe (and any insert) is done; recursive
+// simplification in between takes buffers of its own.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// getKey renders e's structural key into a pooled buffer; the caller
+// returns it to keyBufs when done with the key.
+func getKey(e Expr) *[]byte {
+	bp := keyBufs.Get().(*[]byte)
+	*bp = appendKey((*bp)[:0], e)
+	return bp
 }
 
-func appendKey(b *strings.Builder, e Expr) {
+// appendKey appends an injective encoding of e's structure to b. It
+// differs from String in that it loses nothing: Tagged conditions, the
+// distinction between Sym/Lambda/BigLambda with colliding renderings, and
+// list arities are all encoded, so two distinct expressions never share a
+// key.
+func appendKey(b []byte, e Expr) []byte {
 	switch x := e.(type) {
 	case nil:
-		b.WriteByte('N')
+		b = append(b, 'N')
 	case Int:
-		b.WriteByte('i')
-		b.WriteString(strconv.FormatInt(x.Val, 10))
+		b = append(b, 'i')
+		b = strconv.AppendInt(b, x.Val, 10)
 	case Sym:
-		keyName(b, 's', x.Name)
+		b = keyName(b, 's', x.Name)
 	case Lambda:
-		keyName(b, 'l', x.Name)
+		b = keyName(b, 'l', x.Name)
 	case BigLambda:
-		keyName(b, 'G', x.Name)
+		b = keyName(b, 'G', x.Name)
 	case Add:
-		keyList(b, '+', x.Terms)
+		b = keyList(b, '+', x.Terms)
 	case Mul:
-		keyList(b, '*', x.Factors)
+		b = keyList(b, '*', x.Factors)
 	case Div:
-		b.WriteByte('/')
-		appendKey(b, x.Num)
-		appendKey(b, x.Den)
+		b = append(b, '/')
+		b = appendKey(b, x.Num)
+		b = appendKey(b, x.Den)
 	case Mod:
-		b.WriteByte('%')
-		appendKey(b, x.Num)
-		appendKey(b, x.Den)
+		b = append(b, '%')
+		b = appendKey(b, x.Num)
+		b = appendKey(b, x.Den)
 	case Min:
-		keyList(b, 'm', x.Args)
+		b = keyList(b, 'm', x.Args)
 	case Max:
-		keyList(b, 'M', x.Args)
+		b = keyList(b, 'M', x.Args)
 	case ArrayRef:
-		keyName(b, 'a', x.Name)
-		keyList(b, '[', x.Indices)
+		b = keyName(b, 'a', x.Name)
+		b = keyList(b, '[', x.Indices)
 	case Call:
-		keyName(b, 'c', x.Name)
-		keyList(b, '(', x.Args)
+		b = keyName(b, 'c', x.Name)
+		b = keyList(b, '(', x.Args)
 	case Range:
-		b.WriteByte('R')
-		appendKey(b, x.Lo)
-		appendKey(b, x.Hi)
+		b = append(b, 'R')
+		b = appendKey(b, x.Lo)
+		b = appendKey(b, x.Hi)
 	case Tagged:
-		b.WriteByte('T')
-		appendKey(b, x.Cond)
-		appendKey(b, x.E)
+		b = append(b, 'T')
+		b = appendKey(b, x.Cond)
+		b = appendKey(b, x.E)
 	case Set:
-		keyList(b, '{', x.Items)
+		b = keyList(b, '{', x.Items)
 	case Mono:
-		b.WriteByte('o')
+		b = append(b, 'o')
 		if x.Strict {
-			b.WriteByte('S')
+			b = append(b, 'S')
 		}
-		b.WriteString(strconv.Itoa(x.Dim))
-		b.WriteByte(':')
-		appendKey(b, x.Base)
+		b = strconv.AppendInt(b, int64(x.Dim), 10)
+		b = append(b, ':')
+		b = appendKey(b, x.Base)
 	case Bottom:
-		b.WriteByte('B')
+		b = append(b, 'B')
 	case Cmp:
-		b.WriteByte('C')
-		b.WriteString(strconv.Itoa(int(x.Op)))
-		appendKey(b, x.L)
-		appendKey(b, x.R)
+		b = append(b, 'C')
+		b = strconv.AppendInt(b, int64(x.Op), 10)
+		b = appendKey(b, x.L)
+		b = appendKey(b, x.R)
 	case And:
-		keyList(b, '&', x.Conds)
+		b = keyList(b, '&', x.Conds)
 	case Or:
-		keyList(b, '|', x.Conds)
+		b = keyList(b, '|', x.Conds)
 	case Not:
-		b.WriteByte('!')
-		appendKey(b, x.C)
+		b = append(b, '!')
+		b = appendKey(b, x.C)
 	case BoolLit:
 		if x.Val {
-			b.WriteString("b1")
+			b = append(b, "b1"...)
 		} else {
-			b.WriteString("b0")
+			b = append(b, "b0"...)
 		}
 	default:
 		// Unknown implementations fall back to a length-prefixed String.
 		s := e.String()
-		b.WriteByte('?')
-		b.WriteString(strconv.Itoa(len(s)))
-		b.WriteByte(':')
-		b.WriteString(s)
+		b = append(b, '?')
+		b = strconv.AppendInt(b, int64(len(s)), 10)
+		b = append(b, ':')
+		b = append(b, s...)
 	}
+	return b
 }
 
-// keyName writes a length-prefixed name so arbitrary names cannot collide
-// with neighbouring fields.
-func keyName(b *strings.Builder, tag byte, name string) {
-	b.WriteByte(tag)
-	b.WriteString(strconv.Itoa(len(name)))
-	b.WriteByte(':')
-	b.WriteString(name)
+// keyName appends a length-prefixed name so arbitrary names cannot
+// collide with neighbouring fields.
+func keyName(b []byte, tag byte, name string) []byte {
+	b = append(b, tag)
+	b = strconv.AppendInt(b, int64(len(name)), 10)
+	b = append(b, ':')
+	return append(b, name...)
 }
 
-// keyList writes an arity-prefixed child list.
-func keyList(b *strings.Builder, tag byte, es []Expr) {
-	b.WriteByte(tag)
-	b.WriteString(strconv.Itoa(len(es)))
-	b.WriteByte(':')
+// keyList appends an arity-prefixed child list.
+func keyList(b []byte, tag byte, es []Expr) []byte {
+	b = append(b, tag)
+	b = strconv.AppendInt(b, int64(len(es)), 10)
+	b = append(b, ':')
 	for _, e := range es {
-		appendKey(b, e)
+		b = appendKey(b, e)
 	}
-	b.WriteByte(';')
+	return append(b, ';')
 }

@@ -9,6 +9,9 @@ import (
 	"testing/quick"
 )
 
+// structuralKey is e's memo key as a string.
+func structuralKey(e Expr) string { return string(appendKey(nil, e)) }
+
 // ---- random expression generation ----
 
 var genNames = []string{"n", "m", "i", "num_rows", "bs", "x"}
