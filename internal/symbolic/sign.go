@@ -181,11 +181,11 @@ func boundSubst(e Expr, ctx Context, lower bool) (Expr, bool) {
 	if v.invalid || v.isRange {
 		return nil, false
 	}
-	out := linsum{}
+	var out linsum
 	changed := false
 	for _, t := range v.lo {
 		if len(t.atoms) == 0 {
-			out.add(t)
+			out = out.plus(linsum{t})
 			continue
 		}
 		if len(t.atoms) != 1 {
@@ -220,7 +220,7 @@ func boundSubst(e Expr, ctx Context, lower bool) (Expr, bool) {
 				bv = scalarValue(bv.hi)
 			}
 		}
-		out.addAll(bv.lo.scale(t.coef))
+		out = out.plus(bv.lo.scale(t.coef))
 		changed = true
 	}
 	if !changed {

@@ -209,7 +209,8 @@ func CoefficientOf(e Expr, sym string) (coef int64, rest Expr, ok bool) {
 	if v.invalid || v.isRange {
 		return 0, nil, false
 	}
-	restSum := linsum{}
+	// v.lo is key-sorted, so the terms kept in order stay sorted.
+	var restSum linsum
 	for _, t := range v.lo {
 		hasSym := false
 		for _, a := range t.atoms {
@@ -221,7 +222,7 @@ func CoefficientOf(e Expr, sym string) (coef int64, rest Expr, ok bool) {
 			}
 		}
 		if !hasSym {
-			restSum.add(t)
+			restSum = append(restSum, t)
 			continue
 		}
 		if len(t.atoms) != 1 {
