@@ -13,7 +13,6 @@ package symbolic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -360,33 +359,19 @@ func NewRange(lo, hi Expr) Expr {
 // NewSet builds a canonical value set, flattening nested sets, dropping
 // duplicates, and collapsing singletons. A set containing ⊥ is ⊥.
 func NewSet(items ...Expr) Expr {
+	if len(items) == 1 && items[0].Kind() != KSet {
+		return items[0]
+	}
 	var flat []Expr
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		if s, ok := e.(Set); ok {
-			for _, it := range s.Items {
-				walk(it)
-			}
-			return
-		}
-		flat = append(flat, e)
-	}
 	for _, it := range items {
-		walk(it)
+		flat = appendFlat(flat, it)
 	}
-	seen := make(map[string]bool, len(flat))
-	var uniq []Expr
 	for _, it := range flat {
 		if it.Kind() == KBottom {
 			return Bottom{}
 		}
-		k := it.String()
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, it)
-		}
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i].String() < uniq[j].String() })
+	uniq := uniqByString(flat)
 	switch len(uniq) {
 	case 0:
 		return Bottom{}
@@ -394,6 +379,17 @@ func NewSet(items ...Expr) Expr {
 		return uniq[0]
 	}
 	return Set{Items: uniq}
+}
+
+// appendFlat appends e to dst, or e's items when e is a set (recursively).
+func appendFlat(dst []Expr, e Expr) []Expr {
+	if s, ok := e.(Set); ok {
+		for _, it := range s.Items {
+			dst = appendFlat(dst, it)
+		}
+		return dst
+	}
+	return append(dst, e)
 }
 
 // Equal reports structural equality of two expressions after
