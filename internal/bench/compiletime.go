@@ -68,8 +68,10 @@ type BatchReport struct {
 	// whole-corpus pass (caches reset beforehand).
 	Cache symbolic.CacheStats
 	// Stages is the per-stage time/counter attribution of one traced
-	// corpus pass (run separately from the timing reps, which stay
-	// untraced): where a whole-corpus analysis actually spends its time.
+	// corpus pass with a cold symbolic memo (reset beforehand, as in a
+	// fresh subsubcc process), run separately from the timing reps, which
+	// stay untraced: where a whole-corpus analysis actually spends its
+	// time. A warm memo would hide the symbolic work of every stage.
 	Stages []trace.StageAgg
 }
 
@@ -135,8 +137,10 @@ func (h *Harness) CompileTimeBatch(workers int) BatchReport {
 	core.AnalyzeBatch(sources, core.Options{Workers: 1})
 	rep.Cache = symbolic.ReadCacheStats()
 
-	// Stage attribution: one traced corpus pass. Traced separately so the
-	// timing reps above measure the disabled-tracing (production) cost.
+	// Stage attribution: one traced corpus pass, cold like the hit-rate
+	// pass. Traced separately so the timing reps above measure the
+	// disabled-tracing (production) cost.
+	symbolic.ResetCache()
 	tr := trace.NewRecorder()
 	core.AnalyzeBatch(sources, core.Options{Workers: workers, Trace: tr})
 	rep.Stages = trace.Aggregate(tr.Spans())
@@ -148,7 +152,7 @@ func (h *Harness) CompileTimeBatch(workers int) BatchReport {
 	h.printf("symbolic cache, cold corpus pass: %.1f%% hit rate (simplify %d/%d, compare %d/%d, %d entries, %d interned, %d evictions)\n",
 		100*c.HitRate(), c.SimplifyHits, c.SimplifyHits+c.SimplifyMisses,
 		c.CompareHits, c.CompareHits+c.CompareMisses, c.Entries, c.Interned, c.Evictions)
-	h.printf("\nStage attribution of one traced corpus pass (%d workers)\n", workers)
+	h.printf("\nStage attribution of one traced corpus pass (%d workers, cold symbolic memo)\n", workers)
 	h.printf("%s", trace.Table(rep.Stages))
 	return rep
 }
