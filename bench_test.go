@@ -15,6 +15,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/corpus"
 	"repro/internal/phase2"
+	"repro/internal/symbolic"
 )
 
 var (
@@ -159,12 +160,18 @@ func BenchmarkAnalysisCorpus(b *testing.B) {
 
 // BenchmarkAnalyzeBatch compares the serial and concurrent batch drivers
 // over the whole 12-benchmark corpus (the compiletime experiment's
-// speedup measurement, as a testing.B benchmark).
+// speedup measurement, as a testing.B benchmark). serial and parallel run
+// with the symbolic memo warm after their first iteration, as in a
+// long-lived daemon; cold empties it before every iteration, as a fresh
+// subsubcc process starts.
 func BenchmarkAnalyzeBatch(b *testing.B) {
 	srcs := corpusSources()
-	run := func(b *testing.B, workers int) {
+	run := func(b *testing.B, workers int, cold bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			if cold {
+				symbolic.ResetCache()
+			}
 			for _, br := range AnalyzeBatch(srcs, Options{Workers: workers}) {
 				if br.Err != nil {
 					b.Fatal(br.Err)
@@ -172,12 +179,13 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 			}
 		}
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
+	b.Run("serial", func(b *testing.B) { run(b, 1, false) })
 	b.Run("parallel", func(b *testing.B) {
 		w := runtime.GOMAXPROCS(0)
 		if w < 2 {
 			w = 2
 		}
-		run(b, w)
+		run(b, w, false)
 	})
+	b.Run("cold", func(b *testing.B) { run(b, 1, true) })
 }
