@@ -35,10 +35,13 @@
 #                  all under the race detector
 #   make fuzz    — short fuzz session over the parser and simplifier
 #   make bench   — batch-driver, cache, and interpreter benchmarks
+#   make perfbench — the repository benchmark (perfbench/, BENCHMARK.json):
+#                  one 10 s untraced run of each workload at seed 1,
+#                  printing each JSON result line; not part of check
 
 GO ?= go
 
-.PHONY: build fmt vet test race check fuzz fuzz-smoke fault-e2e chaos-e2e bench benchsmoke serve-smoke trace-smoke property-soundness codegen-differential incr-differential experiments
+.PHONY: build fmt vet test race check fuzz fuzz-smoke fault-e2e chaos-e2e bench perfbench benchsmoke serve-smoke trace-smoke property-soundness codegen-differential incr-differential experiments
 
 build:
 	$(GO) build ./...
@@ -150,6 +153,14 @@ fuzz:
 
 bench:
 	$(GO) test -run NONE -bench 'AnalyzeBatch|SimplifyCached|BenchmarkInterp' -benchmem ./...
+
+# The repository benchmark, one run per workload; the last line of each
+# run's standard output is its JSON result.
+perfbench:
+	@for w in compile-corpus serve-mix exec-kernels; do \
+		out="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0)" || exit 1; \
+		echo "$$w $$(printf '%s\n' "$$out" | tail -n 1)"; \
+	done
 
 experiments:
 	$(GO) run ./cmd/benchrunner -experiment all
