@@ -99,7 +99,8 @@ func vmFuzzArgs(fn *cminus.FuncDecl) (args []Arg, arrs []*Array) {
 // argument set), runs fn on the named engine, and snapshots the
 // outcome. resource is true when the run hit the step budget — only the
 // vm engine is budgeted, and a budgeted-out input is skipped entirely.
-func runEngineFuzz(src, engine, fnName string, b *budget.B) (snap *engineSnapshot, resource bool) {
+// flat rewrites the program with flattenProgram before the run.
+func runEngineFuzz(src, engine, fnName string, b *budget.B, flat bool) (snap *engineSnapshot, resource bool) {
 	prog, err := cminus.Parse(src)
 	if err != nil {
 		return nil, false
@@ -109,6 +110,9 @@ func runEngineFuzz(src, engine, fnName string, b *budget.B) (snap *engineSnapsho
 		// Global-initializer errors are engine-independent; nothing to
 		// compare.
 		return nil, false
+	}
+	if flat {
+		flattenProgram(m)
 	}
 	m.Interp = engine
 	m.Budget = b
@@ -183,8 +187,8 @@ func diffSnapshots(a, b *engineSnapshot) string {
 // declared, initializer-free, in a prefix of the body. Outside that
 // discipline the tree walker's block scoping and use-before-definition
 // errors legitimately diverge from the per-function zero-initialized
-// slots; such functions are still compared vm-vs-compiled (the two
-// slot engines must always agree) but not against the tree oracle.
+// slots; such functions are compared against the tree walker running
+// the flattenProgram rewrite instead.
 func treeComparable(prog *cminus.Program, fn *cminus.FuncDecl) bool {
 	// Only scalar declarations make a name a valid scalar assignment
 	// target: assigning an array-typed name (e.g. an int* parameter)
@@ -255,13 +259,128 @@ func treeComparable(prog *cminus.Program, fn *cminus.FuncDecl) bool {
 	return ok
 }
 
+// flattenProgram rewrites every function of m.Prog in place so that the
+// tree walker runs it with the slot engines' flat scoping. Each
+// non-parameter scalar slot that the engines' own resolution pass
+// assigns becomes one initializer-free declaration at the top of its
+// function; every scalar declarator becomes an assignment of its
+// initializer, or of 0; array declarators stay where they are. A scalar
+// slot that shadows an array parameter (p = 0 on int *p) is a
+// non-parameter slot. Positions are kept, so diagnostics still match.
+func flattenProgram(m *Machine) {
+	c := &compiler{m: m, funcs: map[string]*cfunc{}}
+	for _, fn := range m.Prog.Funcs {
+		if fn.Body == nil {
+			continue
+		}
+		fc := &fnCompiler{c: c, fn: fn, cf: newCfunc(fn),
+			scalars: map[string]*scalarSym{}, arrays: map[string]*arraySym{}}
+		fc.resolve()
+		param := map[[2]int]bool{}
+		for _, ps := range fc.cf.params {
+			param[[2]int{int(ps.kind), ps.idx}] = true
+		}
+		ints := &cminus.DeclStmt{Type: "int", P: fn.Body.P}
+		flts := &cminus.DeclStmt{Type: "double", P: fn.Body.P}
+		names := make([]string, 0, len(fc.scalars))
+		for name := range fc.scalars {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			s := fc.scalars[name]
+			switch {
+			case s.name != name:
+			case s.kind == syLocalInt && !param[[2]int{int(psInt), s.idx}]:
+				ints.Items = append(ints.Items, cminus.DeclItem{Name: name})
+			case s.kind == syLocalFlt && !param[[2]int{int(psFlt), s.idx}]:
+				flts.Items = append(flts.Items, cminus.DeclItem{Name: name})
+			}
+		}
+		var top []cminus.Stmt
+		for _, d := range []*cminus.DeclStmt{ints, flts} {
+			if len(d.Items) > 0 {
+				top = append(top, d)
+			}
+		}
+		fn.Body.Stmts = append(top, flattenStmts(fn.Body.Stmts)...)
+	}
+}
+
+func flattenStmts(stmts []cminus.Stmt) []cminus.Stmt {
+	out := make([]cminus.Stmt, 0, len(stmts))
+	for _, s := range stmts {
+		out = append(out, flattenStmt(s)...)
+	}
+	return out
+}
+
+// flattenStmt rewrites s in place and returns the statements that take
+// its place: a declaration splits into its array declarators and one
+// assignment per scalar declarator, in declarator order.
+func flattenStmt(s cminus.Stmt) []cminus.Stmt {
+	switch x := s.(type) {
+	case *cminus.DeclStmt:
+		var out []cminus.Stmt
+		var arrs *cminus.DeclStmt
+		for _, it := range x.Items {
+			if len(it.Dims) > 0 || it.PtrDeep > 0 {
+				if arrs == nil {
+					arrs = &cminus.DeclStmt{Type: x.Type, P: x.P}
+					out = append(out, arrs)
+				}
+				arrs.Items = append(arrs.Items, it)
+				continue
+			}
+			arrs = nil
+			init := it.Init
+			if init == nil {
+				init = &cminus.IntLit{P: x.P}
+			}
+			out = append(out, &cminus.AssignStmt{LHS: &cminus.Ident{Name: it.Name, P: x.P}, RHS: init, P: x.P})
+		}
+		return out
+	case *cminus.Block:
+		x.Stmts = flattenStmts(x.Stmts)
+	case *cminus.IfStmt:
+		flattenStmt(x.Then)
+		if x.Else != nil {
+			x.Else = flattenOne(x.Else)
+		}
+	case *cminus.ForStmt:
+		if x.Init != nil {
+			x.Init = flattenOne(x.Init)
+		}
+		if x.Post != nil {
+			x.Post = flattenOne(x.Post)
+		}
+		flattenStmt(x.Body)
+	case *cminus.WhileStmt:
+		flattenStmt(x.Body)
+	}
+	return []cminus.Stmt{s}
+}
+
+// flattenOne flattens a statement in a single-statement position (a for
+// clause, an else branch), wrapping a split declaration in a block.
+func flattenOne(s cminus.Stmt) cminus.Stmt {
+	out := flattenStmt(s)
+	if len(out) == 1 {
+		return out[0]
+	}
+	return &cminus.Block{Stmts: out, P: s.Pos()}
+}
+
 // checkVMDifferential is the shared fuzz body: every function in the
 // program runs through the vm (budgeted), compiled, and tree engines
 // with identical deterministic arguments; outputs and diagnostics must
-// be bit-identical. The vm runs first so a budget abort (unbounded loop
-// or recursion) skips the input before the unbudgeted engines see it —
-// if the vm terminates, the other engines execute the identical
-// instruction trace and terminate too.
+// be bit-identical. Functions outside the declare-then-use discipline
+// (treeComparable) run on the tree walker after flattenProgram, so
+// every executed function has the oracle as a reference. The vm runs
+// first so a budget abort (unbounded loop or recursion) skips the input
+// before the unbudgeted engines see it — if the vm terminates, the
+// other engines execute the identical instruction trace and terminate
+// too.
 func checkVMDifferential(t *testing.T, src string) {
 	t.Helper()
 	if len(src) > 1<<16 {
@@ -279,27 +398,25 @@ func checkVMDifferential(t *testing.T, src string) {
 		if ran++; ran > 8 {
 			break
 		}
-		vm, resource := runEngineFuzz(src, "vm", fn.Name, budget.New(nil, vmFuzzBudget))
+		vm, resource := runEngineFuzz(src, "vm", fn.Name, budget.New(nil, vmFuzzBudget), false)
 		if resource {
 			continue
 		}
 		if vm == nil {
 			return
 		}
-		comp, _ := runEngineFuzz(src, "compiled", fn.Name, nil)
+		comp, _ := runEngineFuzz(src, "compiled", fn.Name, nil, false)
 		if d := diffSnapshots(vm, comp); d != "" {
 			t.Fatalf("vm vs compiled diverge on %s: %s\ninput: %q", fn.Name, d, src)
 		}
-		if !treeComparable(prog, fn) {
-			continue
-		}
-		tree, _ := runEngineFuzz(src, "tree", fn.Name, nil)
+		flat := !treeComparable(prog, fn)
+		tree, _ := runEngineFuzz(src, "tree", fn.Name, nil, flat)
 		if vm.err != tree.err {
-			t.Fatalf("vm vs tree diagnostics diverge on %s: %q vs %q\ninput: %q", fn.Name, vm.err, tree.err, src)
+			t.Fatalf("vm vs tree (flat=%v) diagnostics diverge on %s: %q vs %q\ninput: %q", flat, fn.Name, vm.err, tree.err, src)
 		}
 		if vm.err == "" {
 			if d := diffSnapshots(vm, tree); d != "" {
-				t.Fatalf("vm vs tree diverge on %s: %s\ninput: %q", fn.Name, d, src)
+				t.Fatalf("vm vs tree (flat=%v) diverge on %s: %s\ninput: %q", flat, fn.Name, d, src)
 			}
 		}
 	}
