@@ -2052,11 +2052,11 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 		for _, rv := range sortedReductions(d.Reductions) {
 			switch s := bc.fc.resolveScalar(rv[0]); s.kind {
 			case syLocalInt:
-				pl.reds = append(pl.reds, redSlot{kind: pkLocalInt, slot: s.idx, op: rv[1]})
+				pl.reds = append(pl.reds, redSlot{kind: pkLocalInt, slot: s.idx, cmb: combineKind(rv[1])})
 			case syLocalFlt:
-				pl.reds = append(pl.reds, redSlot{kind: pkLocalFlt, slot: s.idx, float: true, op: rv[1]})
+				pl.reds = append(pl.reds, redSlot{kind: pkLocalFlt, slot: s.idx, float: true, cmb: combineKind(rv[1])})
 			case syCell:
-				pl.reds = append(pl.reds, redSlot{kind: pkCell, slot: s.idx, float: s.float, op: rv[1]})
+				pl.reds = append(pl.reds, redSlot{kind: pkCell, slot: s.idx, float: s.float, cmb: combineKind(rv[1])})
 			}
 		}
 		nreg := bc.allocI()

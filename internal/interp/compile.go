@@ -1244,7 +1244,7 @@ func (fc *fnCompiler) compileStmt(s cminus.Stmt) cstmt {
 		m := fc.c.m
 		return func(fr *frame) control {
 			for cond(fr) {
-				m.interruptCompiled()
+				m.throwIfInterrupted()
 				switch body(fr) {
 				case ctlBreak:
 					return ctlNext
@@ -1568,7 +1568,7 @@ func (fc *fnCompiler) compileSerialFor(loop *cminus.ForStmt, body cstmt) cstmt {
 			}
 		}
 		for {
-			m.interruptCompiled()
+			m.throwIfInterrupted()
 			if cond != nil && !cond(fr) {
 				return ctlNext
 			}

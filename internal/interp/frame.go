@@ -197,11 +197,13 @@ type privSlot struct {
 	float bool
 }
 
+// redSlot is one reduction variable; cmb is its combine kind
+// (combineKind of the clause operator), resolved at compile time.
 type redSlot struct {
 	kind  uint8
 	slot  int
 	float bool
-	op    string
+	cmb   int64
 }
 
 // cparloop is the compiled parallel form of one chosen loop. It mirrors
@@ -254,11 +256,11 @@ func (fc *fnCompiler) compileParallelFor(loop *cminus.ForStmt, lp *parallelize.L
 	for _, rv := range sortedReductions(d.Reductions) {
 		switch s := fc.resolveScalar(rv[0]); s.kind {
 		case syLocalInt:
-			pl.reds = append(pl.reds, redSlot{kind: pkLocalInt, slot: s.idx, op: rv[1]})
+			pl.reds = append(pl.reds, redSlot{kind: pkLocalInt, slot: s.idx, cmb: combineKind(rv[1])})
 		case syLocalFlt:
-			pl.reds = append(pl.reds, redSlot{kind: pkLocalFlt, slot: s.idx, float: true, op: rv[1]})
+			pl.reds = append(pl.reds, redSlot{kind: pkLocalFlt, slot: s.idx, float: true, cmb: combineKind(rv[1])})
 		case syCell:
-			pl.reds = append(pl.reds, redSlot{kind: pkCell, slot: s.idx, float: s.float, op: rv[1]})
+			pl.reds = append(pl.reds, redSlot{kind: pkCell, slot: s.idx, float: s.float, cmb: combineKind(rv[1])})
 		}
 	}
 	return pl
@@ -283,7 +285,7 @@ func (pl *cparloop) setup(parent *frame) *frame {
 	}
 	for _, r := range pl.reds {
 		ident := int64(0)
-		if r.op == "*" {
+		if r.cmb == cmbMul {
 			ident = 1
 		}
 		switch r.kind {
@@ -323,7 +325,7 @@ func (pl *cparloop) runChunk(wfr *frame, start, end int64) control {
 	if pl.ivarCell {
 		c := wfr.cells[ivar]
 		for it := start; it < end; it++ {
-			pl.m.interruptCompiled()
+			pl.m.throwIfInterrupted()
 			c.I = it
 			if ctl := pl.body(wfr); ctl != ctlNext {
 				return ctl
@@ -332,7 +334,7 @@ func (pl *cparloop) runChunk(wfr *frame, start, end int64) control {
 		return ctlNext
 	}
 	for it := start; it < end; it++ {
-		pl.m.interruptCompiled()
+		pl.m.throwIfInterrupted()
 		wfr.ints[ivar] = it
 		if ctl := pl.body(wfr); ctl != ctlNext {
 			return ctl
@@ -454,15 +456,15 @@ func (pl *cparloop) run(parent *frame) control {
 			}
 			switch r.kind {
 			case pkLocalInt:
-				parent.ints[r.slot] = intCombine(r.op)(parent.ints[r.slot], wfr.ints[r.slot])
+				parent.ints[r.slot] = vmIntCombine(r.cmb, parent.ints[r.slot], wfr.ints[r.slot])
 			case pkLocalFlt:
-				parent.flts[r.slot] = floatCombine(r.op)(parent.flts[r.slot], wfr.flts[r.slot])
+				parent.flts[r.slot] = vmFloatCombine(r.cmb, parent.flts[r.slot], wfr.flts[r.slot])
 			case pkCell:
 				target, cell := parent.cells[r.slot], wfr.cells[r.slot]
 				if r.float {
-					target.F = floatCombine(r.op)(target.F, cell.F)
+					target.F = vmFloatCombine(r.cmb, target.F, cell.F)
 				} else {
-					target.I = intCombine(r.op)(target.I, cell.I)
+					target.I = vmIntCombine(r.cmb, target.I, cell.I)
 				}
 			}
 		}

@@ -33,14 +33,14 @@ type Machine struct {
 	// Budget, when non-nil, meters VM execution: the bytecode dispatch
 	// loop bills one Step per vmQuantum instructions, so an exhausted
 	// step budget aborts the run (Call returns an error wrapping
-	// budget.ErrBudget) within one quantum. The tree and compiled
-	// engines do not consume it.
+	// budget.ErrBudget) within one quantum. The tree walker does not
+	// consume it.
 	Budget *budget.B
 	// Trace, when recording, receives compile-bc spans for bytecode
 	// compilation and exec-vm spans for VM runs. Nil-safe.
 	Trace *trace.Recorder
-	// Ctx cancels a running program: both engines poll it at loop back
-	// edges (every 1024 edges machine-wide) and abort with an error
+	// Ctx cancels a running program: every engine polls it at loop back
+	// edges (every 1024 edges machine-wide) and aborts with an error
 	// wrapping budget.ErrCanceled. Nil means non-cancellable.
 	Ctx context.Context
 	// edges counts loop back edges since machine creation; shared across
@@ -381,8 +381,8 @@ var (
 // backEdgeMask throttles Ctx polls to one per 1024 loop back edges.
 const backEdgeMask = 1<<10 - 1
 
-// interrupt reports a cancellation error once m.Ctx is done. Both
-// engines call it at every loop back edge; with no context the cost is
+// interrupt reports a cancellation error once m.Ctx is done. Every
+// engine calls it at every loop back edge; with no context the cost is
 // one nil check, with one it is one shared atomic add.
 func (m *Machine) interrupt() error {
 	if m.Ctx == nil {
@@ -397,9 +397,9 @@ func (m *Machine) interrupt() error {
 	return nil
 }
 
-// interruptCompiled is interrupt for the compiled engine, which
-// propagates runtime errors by engineErr panic.
-func (m *Machine) interruptCompiled() {
+// throwIfInterrupted is interrupt for the slot engines, which propagate
+// runtime errors by engineErr panic.
+func (m *Machine) throwIfInterrupted() {
 	if err := m.interrupt(); err != nil {
 		panic(engineErr{err})
 	}

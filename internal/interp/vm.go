@@ -15,7 +15,7 @@ import (
 // allocations. Cycle metering is billed through internal/budget once per
 // vmQuantum instructions, so a step budget bounds VM work with a
 // deterministic abort point, and context cancellation keeps the same
-// throttled back-edge polls as the other two engines (opEdge).
+// throttled back-edge polls as the tree walker (opEdge).
 
 // vmQuantum is the metering quantum: the dispatch loop bills one
 // Budget.Step(vmQuantum) every vmQuantum instructions, so an exhausted
@@ -95,7 +95,7 @@ func (m *Machine) callVM(name string, args []Arg) (err error) {
 // test is a single unsigned compare — Dims[0] of a 1-D array equals its
 // slice length, so it is never negative) and calls here only to throw,
 // re-deriving which check failed so the error text and ordering match
-// the closure engine exactly.
+// the tree walker exactly.
 //
 //go:noinline
 func vmArr1Fail(bf *bfunc, a *Array, i int64, aux int32) {
@@ -835,7 +835,7 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32) control {
 			return ctlReturn
 
 		case opEdge:
-			m.interruptCompiled()
+			m.throwIfInterrupted()
 
 		case opJNoPar:
 			if m.Workers <= 1 {
@@ -859,8 +859,8 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32) control {
 
 // vmWorkerFrame clones the parent frame into a pooled worker frame:
 // shared scalars and arrays copy through; privatized cells and reduction
-// slots get worker-private storage seeded with the reduction identity.
-// Mirrors cparloop.setup.
+// slots get worker-private storage seeded with the reduction identity,
+// like the tree walker's per-worker reduction cells.
 func vmWorkerFrame(bf *bfunc, parent *frame, pl *vparloop) *frame {
 	wfr := bf.newFrame()
 	copy(wfr.ints, parent.ints)
@@ -877,7 +877,7 @@ func vmWorkerFrame(bf *bfunc, parent *frame, pl *vparloop) *frame {
 	}
 	for _, r := range pl.reds {
 		ident := int64(0)
-		if r.op == "*" {
+		if r.cmb == cmbMul {
 			ident = 1
 		}
 		switch r.kind {
@@ -902,8 +902,9 @@ func vmWorkerFrame(bf *bfunc, parent *frame, pl *vparloop) *frame {
 // runPar executes one chosen parallel loop on the VM, fanning the
 // iteration space out over sched.ParallelLoop. Chunking, per-chunk
 // private resets, reduction identities, and the worker-order error scan
-// and reduction combines mirror cparloop.run exactly, so all three
-// engines produce bit-identical results at equal worker counts.
+// and reduction combines mirror the tree walker's execParallelFor, so
+// the VM and the oracle produce bit-identical results at equal worker
+// counts.
 func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 	pl := &bf.pars[in.Aux]
 	n := parent.ints[in.B]
@@ -933,7 +934,7 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		if pl.ivarCell {
 			c := wfr.cells[pl.ivarSlot]
 			for it := start; it < end; it++ {
-				m.interruptCompiled()
+				m.throwIfInterrupted()
 				c.I = it
 				if ctl := m.runSeg(bf, wfr, pl.bodyPC); ctl != ctlNext {
 					return ctl
@@ -943,7 +944,7 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		}
 		ivar := pl.ivarSlot
 		for it := start; it < end; it++ {
-			m.interruptCompiled()
+			m.throwIfInterrupted()
 			wfr.ints[ivar] = it
 			if ctl := m.runSeg(bf, wfr, pl.bodyPC); ctl != ctlNext {
 				return ctl
@@ -983,7 +984,7 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		}
 	}
 	// Anomalies propagate in worker order before reductions combine,
-	// matching the other engines' error scan.
+	// matching the tree walker's error scan.
 	for w := 0; w < workers; w++ {
 		if errs[w] != nil {
 			err := errs[w]
@@ -1008,15 +1009,15 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 			}
 			switch r.kind {
 			case pkLocalInt:
-				parent.ints[r.slot] = intCombine(r.op)(parent.ints[r.slot], wfr.ints[r.slot])
+				parent.ints[r.slot] = vmIntCombine(r.cmb, parent.ints[r.slot], wfr.ints[r.slot])
 			case pkLocalFlt:
-				parent.flts[r.slot] = floatCombine(r.op)(parent.flts[r.slot], wfr.flts[r.slot])
+				parent.flts[r.slot] = vmFloatCombine(r.cmb, parent.flts[r.slot], wfr.flts[r.slot])
 			case pkCell:
 				target, cell := parent.cells[r.slot], wfr.cells[r.slot]
 				if r.float {
-					target.F = floatCombine(r.op)(target.F, cell.F)
+					target.F = vmFloatCombine(r.cmb, target.F, cell.F)
 				} else {
-					target.I = intCombine(r.op)(target.I, cell.I)
+					target.I = vmIntCombine(r.cmb, target.I, cell.I)
 				}
 			}
 		}
