@@ -45,13 +45,14 @@
 // the same convention batch analysis errors follow.
 //
 // -engine runs an interpreter smoke on each successfully analyzed file:
-// the source is compiled for the named engine (compiled, vm or tree)
-// and its zero-argument functions are executed under a step budget and
+// the source is compiled for the named engine (vm, the bytecode VM and
+// default interpreter, or tree, the tree-walking oracle) and its
+// zero-argument functions are executed under a step budget and
 // deadline, so engine typos and code-generation faults fail the file
 // like any analysis error. Engine precedence mirrors the interpreter:
 // an explicit name selects that engine, the empty string (the default)
 // skips the smoke entirely, and inside the interpreter an empty
-// Machine.Interp aliases "compiled".
+// Machine.Interp aliases "vm".
 package main
 
 import (
@@ -116,7 +117,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-file analysis deadline (0 = none); a file that exceeds it fails like any other per-file error")
 	budgetSteps := flag.Int64("budget", 0, "per-file analysis step budget (0 = unlimited)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON profile of the analysis pipeline to this file")
-	engine := flag.String("engine", "", "interpreter smoke: compile each analyzed file for this engine ("+strings.Join(interp.Engines(), ", ")+") and run its zero-argument functions; empty skips")
+	engine := flag.String("engine", "", "interpreter smoke: compile each analyzed file for this engine ("+strings.Join(interp.Engines(), ", ")+"; vm is the default interpreter, tree the oracle) and run its zero-argument functions; empty skips")
 	emitDir := flag.String("emit", "", "transpile each analyzed file to a runnable parallel Go main package under this directory (refused if any file has analysis errors)")
 	incrStats := flag.Bool("incr-stats", false, "run the batch over a function-granular unit store and print per-function hit/miss counts to stderr (duplicate functions across files reuse each other's analyses)")
 	showVersion := flag.Bool("version", false, "print the build version and exit")

@@ -39,10 +39,14 @@ var runtimeKernels = []string{"AMGmk", "UA(transf)", "SDDMM", "CG"}
 // runtimeWorkers are the worker counts every engine is measured at.
 var runtimeWorkers = []int{1, 2, 8}
 
+// runtimeEngines are the measured tiers, the tree oracle first (the
+// speedup baseline).
+var runtimeEngines = []string{"tree", "vm", "native"}
+
 // Runtime measures real (not simulated) execution time of the corpus
-// workloads across the engine tiers — tree oracle, closure-compiled,
-// bytecode VM, and the native tier (internal/codegen output built with
-// the Go compiler and timed inside the binary) — serial and parallel,
+// workloads across the engine tiers — tree oracle, bytecode VM (the
+// default engine), and the native tier (internal/codegen output built
+// with the Go compiler and timed inside the binary) — serial and parallel,
 // prints a table, and — when jsonPath is non-empty — writes the rows
 // there as machine-readable JSON. The workload is rebuilt from scratch
 // for every repetition so repeated runs never feed a kernel its own
@@ -54,7 +58,7 @@ func (h *Harness) Runtime(jsonPath string) (*RuntimeReport, error) {
 	}
 	rep := &RuntimeReport{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, Cores: runtime.NumCPU()}
 
-	h.printf("Runtime: real execution, tree oracle vs compiled vs vm vs native Go (best of %d)\n", reps)
+	h.printf("Runtime: real execution, tree oracle vs vm vs native Go (best of %d)\n", reps)
 	h.printf("%-12s %-9s %-8s %12s %14s\n", "kernel", "engine", "workers", "seconds", "vs tree")
 	for _, name := range runtimeKernels {
 		b := corpus.ByName(name)
@@ -63,7 +67,7 @@ func (h *Harness) Runtime(jsonPath string) (*RuntimeReport, error) {
 			return nil, err
 		}
 		treeSecs := map[int]float64{}
-		for _, engine := range []string{"tree", "compiled", "vm", "native"} {
+		for _, engine := range runtimeEngines {
 			for _, workers := range runtimeWorkers {
 				var secs float64
 				var err error

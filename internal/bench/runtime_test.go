@@ -18,7 +18,7 @@ func TestRuntimeExperimentQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(runtimeKernels) * 4 * len(runtimeWorkers) // engines x worker counts
+	want := len(runtimeKernels) * len(runtimeEngines) * len(runtimeWorkers)
 	if len(rep.Rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rep.Rows), want)
 	}

@@ -55,20 +55,18 @@ func requireIdentical(t *testing.T, want, got map[string]*interp.Array, label st
 }
 
 // TestDifferentialEngines runs every corpus benchmark under the tree
-// oracle, the compiled engine, and the bytecode VM, serially and at
-// Workers=8, and requires bit-identical end states per worker count.
-// (Serial and parallel float results may legitimately differ in low
-// bits — the contract is engine identity, not schedule identity.)
+// oracle and the bytecode VM, serially and at Workers=8, and requires
+// bit-identical end states per worker count. (Serial and parallel float
+// results may legitimately differ in low bits — the contract is engine
+// identity, not schedule identity.)
 func TestDifferentialEngines(t *testing.T) {
 	for _, b := range Extended() {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, workers := range []int{1, 8} {
 				ref, _ := runEngine(t, b, "tree", workers)
-				for _, engine := range []string{"compiled", "vm"} {
-					got, _ := runEngine(t, b, engine, workers)
-					requireIdentical(t, ref, got, b.Name+"/"+engine)
-				}
+				got, _ := runEngine(t, b, "vm", workers)
+				requireIdentical(t, ref, got, b.Name+"/vm")
 			}
 		})
 	}
@@ -87,7 +85,7 @@ func TestDifferentialParallelExercised(t *testing.T) {
 		if b.Expected[phase2.LevelNew] == None {
 			continue
 		}
-		for _, engine := range []string{"tree", "compiled", "vm"} {
+		for _, engine := range []string{"tree", "vm"} {
 			_, m := runEngine(t, b, engine, 8)
 			if m.Stats.ParallelRegions == 0 {
 				t.Errorf("%s [%s@8]: no parallel regions executed", name, engine)
@@ -105,7 +103,7 @@ func TestScatterSerialVsParallel(t *testing.T) {
 	for _, b := range Scatter() {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, engine := range []string{"tree", "compiled", "vm"} {
+			for _, engine := range []string{"tree", "vm"} {
 				ref, _ := runEngine(t, b, engine, 1)
 				got, m := runEngine(t, b, engine, 8)
 				requireIdentical(t, ref, got, b.Name+"/"+engine)

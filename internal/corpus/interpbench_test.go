@@ -2,9 +2,9 @@ package corpus
 
 import "testing"
 
-// Engine benchmarks: the same workload on the tree-walking oracle, the
-// closure-compiled engine, and the bytecode VM, serial (Workers=1), so
-// the ratios isolate pure interpretation overhead. BENCH_runtime.json
+// Engine benchmarks: the same workload on the tree-walking oracle and
+// the bytecode VM, serial (Workers=1), so the ratio isolates pure
+// interpretation overhead. BENCH_runtime.json
 // (cmd/benchrunner -experiment runtime) tracks the same kernels with
 // parallel rows.
 var interpBenchKernels = []string{"AMGmk", "UA(transf)", "SDDMM"}
@@ -34,12 +34,6 @@ func benchEngine(b *testing.B, name, engine string) {
 func BenchmarkInterpTree(b *testing.B) {
 	for _, name := range interpBenchKernels {
 		b.Run(name, func(b *testing.B) { benchEngine(b, name, "tree") })
-	}
-}
-
-func BenchmarkInterpCompiled(b *testing.B) {
-	for _, name := range interpBenchKernels {
-		b.Run(name, func(b *testing.B) { benchEngine(b, name, "compiled") })
 	}
 }
 

@@ -1,19 +1,19 @@
 package interp
 
 // The bytecode engine's compiler. It lowers each function to a flat
-// []Instr over the same slot resolution the closure engine uses (the
-// fnCompiler symbol tables), so scalar operands become indices into the
-// frame's typed columns (ints / flts), array references become array-bank
-// slots, and control flow becomes pc jumps. Expression temporaries live
-// in registers appended after the named slots of the same columns, so a
+// []Instr over the slot resolution of resolve.go (the resolver symbol
+// tables), so scalar operands become indices into the frame's typed
+// columns (ints / flts), array references become array-bank slots, and
+// control flow becomes pc jumps. Expression temporaries live in
+// registers appended after the named slots of the same columns, so a
 // frame is one contiguous struct-of-arrays store and the dispatch loop
 // (vm.go) touches no interface values and allocates nothing at steady
 // state.
 //
-// Semantics mirror the closure engine instruction for instruction — same
-// evaluation order, same error strings, same documented flat-slot
-// relaxation versus the tree walker — so the corpus differential layer
-// can pin all three engines bit-for-bit.
+// Semantics mirror the tree walker — same evaluation order, same error
+// strings — up to the flat-slot relaxation documented in resolve.go, so
+// the corpus differential layer can pin the VM to the oracle
+// bit-for-bit.
 
 import (
 	"fmt"
@@ -138,7 +138,7 @@ const (
 	opSetCF // cells[B].F = flts[A]
 
 	// Arrays. The fused 1-D forms check nil + rank + bounds and branch on
-	// the array's dynamic element type, exactly like the closure engine.
+	// the array's dynamic element type, exactly like the tree walker.
 	opALoad1I  // ints[A] = arrs[B][ints[C]]  (Aux: unknown-array msg)
 	opALoad1F  // flts[A] = arrs[B][ints[C]]
 	opAStore1I // arrs[B][ints[C]] = ints[A]
@@ -308,9 +308,12 @@ func (bf *bfunc) newFrame() *frame { return bf.pool.Get().(*frame) }
 
 func (bf *bfunc) release(fr *frame) { bf.pool.Put(fr) }
 
-// bindEntry mirrors cfunc.bindEntry for VM frames (including the
-// scalar-column zeroing that keeps ill-formed read-before-assignment
-// programs deterministic across engines).
+// bindEntry prepares a fresh (possibly pooled) frame: array slots are
+// cleared and globals re-resolved, so staleness never leaks across calls.
+// Scalar columns are zeroed too — declared locals re-zero at their
+// DeclStmt anyway, but implicit locals read before their first
+// assignment (ill-formed, yet executable) must observe a deterministic
+// zero rather than pooled garbage.
 func (bf *bfunc) bindEntry(fr *frame, m *Machine) {
 	for i := range fr.ints {
 		fr.ints[i] = 0
@@ -329,20 +332,17 @@ func (bf *bfunc) bindEntry(fr *frame, m *Machine) {
 	}
 }
 
-// bytecodeProgram caches the bytecode form per plan (pointer-keyed, like
-// compiledProgram).
+// bytecodeProgram caches the bytecode form of a machine's program for a
+// specific plan (plans are immutable once built; the pointer is the
+// cache key).
 type bytecodeProgram struct {
+	m     *Machine
 	plan  *parallelize.Plan
 	funcs map[string]*bfunc
-	c     *compiler
 }
 
 func compileBytecode(m *Machine) *bytecodeProgram {
-	// Ride on the closure engine's resolution pass: a throwaway compiler
-	// shell gives each bcCompiler a fully resolved fnCompiler without
-	// building any closures.
-	c := &compiler{m: m, funcs: map[string]*cfunc{}}
-	bp := &bytecodeProgram{plan: m.Plan, funcs: map[string]*bfunc{}, c: c}
+	bp := &bytecodeProgram{m: m, plan: m.Plan, funcs: map[string]*bfunc{}}
 	// Register shells first so recursive and mutual calls resolve.
 	for _, fn := range m.Prog.Funcs {
 		if fn.Body != nil {
@@ -367,27 +367,16 @@ func (bp *bytecodeProgram) ensure(fn *cminus.FuncDecl) *bfunc {
 		return bf
 	}
 	bf.started = true
-	cf := newCfunc(fn)
-	fc := &fnCompiler{
-		c:       bp.c,
-		fn:      fn,
-		cf:      cf,
-		scalars: map[string]*scalarSym{},
-		arrays:  map[string]*arraySym{},
-		fp:      bp.c.funcPlan(fn.Name),
-	}
-	fc.resolve()
-	// Publish the parameter layout immediately: recursive call sites in
-	// this very body bind against it.
-	bf.params = cf.params
-	bc := &bcCompiler{fc: fc, bf: bf, bp: bp}
+	// Resolution publishes the parameter layout in bf immediately:
+	// recursive call sites in this very body bind against it.
+	r := newResolver(bp.m, fn, bf)
+	bc := &bcCompiler{r: r, bf: bf, bp: bp}
 	// Temp registers live above the named slots. Resolution fixed the
 	// scalar counts; array slots can still grow during emission (lazy
-	// entry arrays), so those are re-read after.
-	bc.tI = int32(cf.nInts)
-	bc.maxI = bc.tI
-	bc.tF = int32(cf.nFlts)
-	bc.maxF = bc.tF
+	// entry arrays).
+	bc.nI, bc.nF = int32(bf.nInts), int32(bf.nFlts)
+	bc.tI, bc.maxI = bc.nI, bc.nI
+	bc.tF, bc.maxF = bc.nF, bc.nF
 	bc.block(fn.Body)
 	bc.emit(Instr{Op: opRetV})
 	bc.flushSegs()
@@ -396,10 +385,6 @@ func (bp *bytecodeProgram) ensure(fn *cminus.FuncDecl) *bfunc {
 	bf.code = bc.code
 	bf.nInts = int(bc.maxI)
 	bf.nFlts = int(bc.maxF)
-	bf.nCells = cf.nCells
-	bf.nArrs = cf.nArrs
-	bf.entryArrs = cf.entryArrs
-	bf.entryCells = cf.entryCells
 	bf.pool.New = func() any {
 		return &frame{
 			ints:  make([]int64, bf.nInts),
@@ -413,13 +398,16 @@ func (bp *bytecodeProgram) ensure(fn *cminus.FuncDecl) *bfunc {
 
 // bcCompiler emits one function's instruction stream.
 type bcCompiler struct {
-	fc   *fnCompiler
+	r    *resolver
 	bf   *bfunc
 	bp   *bytecodeProgram
 	code []Instr
 
-	// Temp-register watermarks: tI/tF are the next free registers, maxI/
-	// maxF the high-water marks that size the frame columns.
+	// nI/nF count the named int/float slots; registers at or above them
+	// are temps. Temp-register watermarks: tI/tF are the next free
+	// registers, maxI/maxF the high-water marks that size the frame
+	// columns.
+	nI, nF   int32
 	tI, maxI int32
 	tF, maxF int32
 
@@ -470,7 +458,7 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 		return 0, false
 	}
 	prev := &bc.code[p]
-	nInts := int32(bc.fc.cf.nInts)
+	nInts := bc.nI
 	switch in.Op {
 	case opALoad1I, opALoad1F, opAStore1I, opAStore1F:
 		if prev.Op == opALoad1I && prev.A == in.C && prev.A >= nInts {
@@ -520,14 +508,14 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 	case opFAdd:
 		// Accumulate-into-self only: a+b and b+a differ in NaN payload
 		// propagation, so the swapped form is not bit-safe to rewrite.
-		if in.A == in.B && prev.Op == opFMul && prev.A == in.C && prev.A >= int32(bc.fc.cf.nFlts) {
+		if in.A == in.B && prev.Op == opFMul && prev.A == in.C && prev.A >= bc.nF {
 			// Cascade: when the product's second factor was itself just
 			// loaded into a dead temp, fold load+mul+add into one op. The
 			// loaded value must be the C operand (order preserved) and must
 			// not double as the B operand. Popping code[p] is safe: labels
 			// never point past bc.barrier <= p-1, and code[p] is not a jump
 			// so no patch chain references it.
-			if p-1 >= bc.barrier && prev.B != prev.C && prev.C >= int32(bc.fc.cf.nFlts) {
+			if p-1 >= bc.barrier && prev.B != prev.C && prev.C >= bc.nF {
 				switch pr2 := &bc.code[p-1]; {
 				case pr2.Op == opALoad1F && pr2.A == prev.C:
 					*pr2 = Instr{Op: opFMulAccL, A: in.A, B: prev.B, C: pr2.C,
@@ -713,8 +701,8 @@ func (bc *bcCompiler) global(g *Value) int32 {
 	return int32(len(bc.bf.globals) - 1)
 }
 
-// errOp emits an unconditional runtime error (the lazy compile-known
-// failures the closure engine defers into throwing closures).
+// errOp emits an unconditional runtime error: compile-known failures
+// throw lazily, when execution reaches them, as in the tree walker.
 func (bc *bcCompiler) errOp(format string, args ...any) {
 	bc.emit(Instr{Op: opErr, Aux: bc.str(fmt.Sprintf(format, args...))})
 }
@@ -743,7 +731,7 @@ func containsIncDec(e cminus.Expr) bool {
 // freezeI copies r to a temp when r is a named int slot and the
 // yet-to-be-emitted expression after can mutate scalar slots.
 func (bc *bcCompiler) freezeI(r int32, after cminus.Expr) int32 {
-	if r < int32(bc.fc.cf.nInts) && containsIncDec(after) {
+	if r < bc.nI && containsIncDec(after) {
 		t := bc.allocI()
 		bc.emit(Instr{Op: opIMove, A: t, B: r})
 		return t
@@ -752,7 +740,7 @@ func (bc *bcCompiler) freezeI(r int32, after cminus.Expr) int32 {
 }
 
 func (bc *bcCompiler) freezeF(r int32, after cminus.Expr) int32 {
-	if r < int32(bc.fc.cf.nFlts) && containsIncDec(after) {
+	if r < bc.nF && containsIncDec(after) {
 		t := bc.allocF()
 		bc.emit(Instr{Op: opFMove, A: t, B: r})
 		return t
@@ -764,7 +752,7 @@ func (bc *bcCompiler) freezeF(r int32, after cminus.Expr) int32 {
 // holding its value — the named slot itself for simple local reads.
 func (bc *bcCompiler) emitI(e cminus.Expr) int32 {
 	if id, ok := e.(*cminus.Ident); ok {
-		if s := bc.fc.resolveScalar(id.Name); s.kind == syLocalInt {
+		if s := bc.r.resolveScalar(id.Name); s.kind == syLocalInt {
 			return int32(s.idx)
 		}
 	}
@@ -775,7 +763,7 @@ func (bc *bcCompiler) emitI(e cminus.Expr) int32 {
 
 func (bc *bcCompiler) emitF(e cminus.Expr) int32 {
 	if id, ok := e.(*cminus.Ident); ok {
-		if s := bc.fc.resolveScalar(id.Name); s.kind == syLocalFlt {
+		if s := bc.r.resolveScalar(id.Name); s.kind == syLocalFlt {
 			return int32(s.idx)
 		}
 	}
@@ -784,9 +772,9 @@ func (bc *bcCompiler) emitF(e cminus.Expr) int32 {
 	return dst
 }
 
-// asIReg compiles e as int like fnCompiler.asI (truncating floats).
+// asIReg compiles e as an int (truncating floats).
 func (bc *bcCompiler) asIReg(e cminus.Expr) int32 {
-	if bc.fc.typeOf(e) == tInt {
+	if bc.r.typeOf(e) == tInt {
 		return bc.emitI(e)
 	}
 	f := bc.emitF(e)
@@ -796,7 +784,7 @@ func (bc *bcCompiler) asIReg(e cminus.Expr) int32 {
 }
 
 func (bc *bcCompiler) asFReg(e cminus.Expr) int32 {
-	if bc.fc.typeOf(e) == tFloat {
+	if bc.r.typeOf(e) == tFloat {
 		return bc.emitF(e)
 	}
 	i := bc.emitI(e)
@@ -806,7 +794,7 @@ func (bc *bcCompiler) asFReg(e cminus.Expr) int32 {
 }
 
 func (bc *bcCompiler) asITo(e cminus.Expr, dst int32) {
-	if bc.fc.typeOf(e) == tInt {
+	if bc.r.typeOf(e) == tInt {
 		bc.emitITo(e, dst)
 		return
 	}
@@ -815,7 +803,7 @@ func (bc *bcCompiler) asITo(e cminus.Expr, dst int32) {
 }
 
 func (bc *bcCompiler) asFTo(e cminus.Expr, dst int32) {
-	if bc.fc.typeOf(e) == tFloat {
+	if bc.r.typeOf(e) == tFloat {
 		bc.emitFTo(e, dst)
 		return
 	}
@@ -1022,7 +1010,7 @@ func (bc *bcCompiler) emitBinITo(x *cminus.BinaryExpr, dst int32) {
 // emitCmpTo materializes a comparison as 0/1 via the dedicated compare
 // opcodes (no branches in value context).
 func (bc *bcCompiler) emitCmpTo(x *cminus.BinaryExpr, dst int32) {
-	if promoteTyp(bc.fc.typeOf(x.X), bc.fc.typeOf(x.Y)) == tFloat {
+	if promoteTyp(bc.r.typeOf(x.X), bc.r.typeOf(x.Y)) == tFloat {
 		l := bc.freezeF(bc.asFReg(x.X), x.Y)
 		r := bc.asFReg(x.Y)
 		var op Opcode
@@ -1105,7 +1093,7 @@ func (bc *bcCompiler) emitBranch(e cminus.Expr, target int32, jumpIfTrue bool) {
 			}
 			return
 		case "<", "<=", ">", ">=", "==", "!=":
-			if promoteTyp(bc.fc.typeOf(x.X), bc.fc.typeOf(x.Y)) == tFloat {
+			if promoteTyp(bc.r.typeOf(x.X), bc.r.typeOf(x.Y)) == tFloat {
 				// Float comparisons materialize (NaN makes negated
 				// compare-branches unsound), then branch on the bit.
 				t := bc.allocI()
@@ -1158,7 +1146,7 @@ func (bc *bcCompiler) emitBranch(e cminus.Expr, target int32, jumpIfTrue bool) {
 			return
 		}
 	}
-	if bc.fc.typeOf(e) == tFloat {
+	if bc.r.typeOf(e) == tFloat {
 		r := bc.emitF(e)
 		bc.jump(Instr{Op: opJFNZ, B: r, K: b2i(!jumpIfTrue)}, target)
 		return
@@ -1170,7 +1158,7 @@ func (bc *bcCompiler) emitBranch(e cminus.Expr, target int32, jumpIfTrue bool) {
 // ---- scalar access ----
 
 func (bc *bcCompiler) scalarReadITo(id *cminus.Ident, dst int32) {
-	s := bc.fc.resolveScalar(id.Name)
+	s := bc.r.resolveScalar(id.Name)
 	switch s.kind {
 	case syLocalInt:
 		bc.emit(Instr{Op: opIMove, A: dst, B: int32(s.idx)})
@@ -1198,7 +1186,7 @@ func (bc *bcCompiler) scalarReadITo(id *cminus.Ident, dst int32) {
 }
 
 func (bc *bcCompiler) scalarReadFTo(id *cminus.Ident, dst int32) {
-	s := bc.fc.resolveScalar(id.Name)
+	s := bc.r.resolveScalar(id.Name)
 	switch s.kind {
 	case syLocalFlt:
 		bc.emit(Instr{Op: opFMove, A: dst, B: int32(s.idx)})
@@ -1226,8 +1214,9 @@ func (bc *bcCompiler) scalarReadFTo(id *cminus.Ident, dst int32) {
 }
 
 // scalarStore compiles "s = rhs" with the RHS at the target's type,
-// matching fnCompiler.scalarStore (including ignoring the RHS entirely
-// for unbound targets).
+// which matches the tree walker's convert-to-cell-type assignment rule
+// (an unbound target, which resolution never produces for an assignment,
+// throws without evaluating the RHS).
 func (bc *bcCompiler) scalarStore(s *scalarSym, rhs cminus.Expr) {
 	switch s.kind {
 	case syLocalInt:
@@ -1259,8 +1248,8 @@ func (bc *bcCompiler) scalarStore(s *scalarSym, rhs cminus.Expr) {
 	}
 }
 
-// scalarRefI mirrors fnCompiler.scalarRefI: raw int load/store emitters
-// for compound assignment and ++/--. ok is false for kinds refI rejects
+// refLoadI/refStoreI are the raw int load/store emitters for compound
+// assignment and ++/--. refLoadI returns false for the kinds it rejects
 // (float locals, unbound), which throw at runtime.
 func (bc *bcCompiler) refLoadI(s *scalarSym, dst int32) bool {
 	switch s.kind {
@@ -1318,7 +1307,7 @@ func (bc *bcCompiler) emitIncDecITo(x *cminus.UnaryExpr, dst int32) {
 		bc.errOp("interp: %s on non-identifier at %s", x.Op, x.P)
 		return
 	}
-	s := bc.fc.resolveScalar(id.Name)
+	s := bc.r.resolveScalar(id.Name)
 	delta := int64(1)
 	if x.Op == "--" {
 		delta = -1
@@ -1358,7 +1347,7 @@ func (bc *bcCompiler) emitIncDecFTo(x *cminus.UnaryExpr, dst int32) {
 		bc.errOp("interp: %s on non-identifier at %s", x.Op, x.P)
 		return
 	}
-	s := bc.fc.resolveScalar(id.Name)
+	s := bc.r.resolveScalar(id.Name)
 	delta := float64(1)
 	if x.Op == "--" {
 		delta = -1
@@ -1394,7 +1383,7 @@ func (bc *bcCompiler) pureExpr(e cminus.Expr) bool {
 		_, err := fmt.Sscanf(x.Text, "%g", &v)
 		return err == nil // a malformed literal throws "bad float"
 	case *cminus.Ident:
-		return bc.fc.resolveScalar(x.Name).kind != syUnbound
+		return bc.r.resolveScalar(x.Name).kind != syUnbound
 	case *cminus.BinaryExpr:
 		switch x.Op {
 		case "/", "%":
@@ -1415,26 +1404,16 @@ func (bc *bcCompiler) pureExpr(e cminus.Expr) bool {
 	return false // index (bounds), call (anything)
 }
 
-// arraySlotFor resolves (lazily binding) the array symbol like arrayAt.
-func (bc *bcCompiler) arraySlotFor(name string) *arraySym {
-	sym := bc.fc.arrays[name]
-	if sym == nil {
-		sym = bc.fc.newArraySlot(name, false, false)
-		bc.fc.cf.entryArrs = append(bc.fc.cf.entryArrs, entryArr{slot: sym.slot, name: name})
-	}
-	return sym
-}
-
 // arrayAddr emits the addressing code of an IndexExpr and returns the
 // array slot, whether the fused 1-D forms apply, and the register
 // holding the index (1-D) or flattened offset (multi-dim). ok=false
 // means an unsupported index shape whose error was already emitted.
 //
-// Evaluation-order contract (mirroring fnCompiler.arrayAt): the closure
-// engine checks nil + rank before evaluating any subscript. When a
-// subscript can itself throw, a standalone opARank-equivalent ordering
-// is preserved by emitting the nil+rank-checking opAIdx0 path; for pure
-// subscripts the order is unobservable and the fused forms check
+// Evaluation-order contract (mirroring the tree walker): the unknown-
+// array check precedes subscript evaluation, and rank and bounds checks
+// follow all of it. When a subscript can itself throw, that ordering is
+// preserved by a nil-only opAIdx0 probe ahead of the subscripts; for
+// pure subscripts the order is unobservable and the fused forms check
 // everything themselves.
 func (bc *bcCompiler) arrayAddr(e *cminus.IndexExpr, pos cminus.Position) (slot int32, one bool, idx int32, aux int32, ok bool) {
 	name, idxExprs, shapeOK := cminus.ArrayBase(e)
@@ -1442,7 +1421,7 @@ func (bc *bcCompiler) arrayAddr(e *cminus.IndexExpr, pos cminus.Position) (slot 
 		bc.errOp("interp: unsupported index expression at %s", e.P)
 		return 0, false, 0, 0, false
 	}
-	sym := bc.arraySlotFor(name)
+	sym := bc.r.entryArray(name)
 	slot = int32(sym.slot)
 	aux = bc.str(fmt.Sprintf("interp: unknown array %q at %s", name, pos))
 	if len(idxExprs) == 1 {
@@ -1507,7 +1486,7 @@ func (bc *bcCompiler) arrayReadTo(e *cminus.IndexExpr, dst int32, wantFloat bool
 // ---- calls ----
 
 func (bc *bcCompiler) emitCallTo(x *cminus.CallExpr, want ctyp, dst int32) {
-	if fn := bc.fc.c.m.Prog.Func(x.Fun); fn != nil && fn.Body != nil {
+	if fn := bc.r.m.Prog.Func(x.Fun); fn != nil && fn.Body != nil {
 		bc.emitUserCallTo(x, fn, want, dst)
 		return
 	}
@@ -1579,13 +1558,13 @@ func (bc *bcCompiler) emitUserCallTo(x *cminus.CallExpr, fn *cminus.FuncDecl, wa
 		case psArr:
 			id, ok := x.Args[i].(*cminus.Ident)
 			if !ok {
-				// Matches the closure engine's bind-time error: earlier
+				// Matches the tree walker's bind-time error: earlier
 				// bindings (argument effects) have already run.
 				bc.errOp("interp: array argument %d of %s must be an identifier at %s",
 					i, fn.Name, x.P)
 				return
 			}
-			src := bc.arraySlotFor(id.Name)
+			src := bc.r.entryArray(id.Name)
 			bc.emit(Instr{Op: opACheck, B: int32(src.slot),
 				Aux: bc.str(fmt.Sprintf("interp: unknown array %q passed to %s at %s", id.Name, fn.Name, x.P))})
 			binds = append(binds, vbind{kind: psArr, src: int32(src.slot), dst: int32(ps.idx)})
@@ -1628,7 +1607,7 @@ func (bc *bcCompiler) stmt(s cminus.Stmt) {
 		// one in-place add replaces the copy/move sequence.
 		if u, ok := x.X.(*cminus.UnaryExpr); ok && (u.Op == "++" || u.Op == "--") {
 			if id, ok := u.X.(*cminus.Ident); ok {
-				if s := bc.fc.resolveScalar(id.Name); s.kind == syLocalInt {
+				if s := bc.r.resolveScalar(id.Name); s.kind == syLocalInt {
 					delta := int64(1)
 					if u.Op == "--" {
 						delta = -1
@@ -1639,7 +1618,7 @@ func (bc *bcCompiler) stmt(s cminus.Stmt) {
 				}
 			}
 		}
-		if bc.fc.typeOf(x.X) == tFloat {
+		if bc.r.typeOf(x.X) == tFloat {
 			bc.emitF(x.X)
 		} else {
 			bc.emitI(x.X)
@@ -1662,12 +1641,12 @@ func (bc *bcCompiler) stmt(s cminus.Stmt) {
 	case *cminus.ForStmt:
 		bc.emitFor(x)
 	case *cminus.WhileStmt:
-		// Rotated, mirroring the compiled engine's order (condition first,
-		// then the interrupt poll, then the body): the entry guard tests
-		// the condition once, the bottom branch re-tests it and jumps back
-		// if still true. continue lands on the bottom test, so each pass
-		// is still cond → poll → body — only the opJump per iteration is
-		// gone. The dynamic test count is identical to the unrotated form.
+		// Rotated (condition first, then the interrupt poll, then the
+		// body): the entry guard tests the condition once, the bottom
+		// branch re-tests it and jumps back if still true. continue lands
+		// on the bottom test, so each pass is still cond → poll → body —
+		// only the opJump per iteration is gone. The dynamic test count
+		// is identical to the unrotated form.
 		ltop, lcond, lend := bc.newLabel(), bc.newLabel(), bc.newLabel()
 		ti, tf := bc.save()
 		bc.emitBranch(x.Cond, lend, false)
@@ -1691,7 +1670,7 @@ func (bc *bcCompiler) stmt(s cminus.Stmt) {
 			bc.emit(Instr{Op: opRetV})
 			return
 		}
-		if bc.fc.typeOf(x.X) == tFloat {
+		if bc.r.typeOf(x.X) == tFloat {
 			r := bc.emitF(x.X)
 			bc.emit(Instr{Op: opRetF, A: r})
 			return
@@ -1729,7 +1708,7 @@ func (bc *bcCompiler) decl(x *cminus.DeclStmt) {
 	for _, it := range x.Items {
 		ti, tf := bc.save()
 		if len(it.Dims) > 0 || it.PtrDeep > 0 {
-			sym := bc.fc.arrays[it.Name]
+			sym := bc.r.arrays[it.Name]
 			base := bc.tI
 			for range it.Dims {
 				bc.allocI()
@@ -1746,7 +1725,7 @@ func (bc *bcCompiler) decl(x *cminus.DeclStmt) {
 			bc.restore(ti, tf)
 			continue
 		}
-		s := bc.fc.scalars[it.Name]
+		s := bc.r.scalars[it.Name]
 		init := it.Init
 		if init == nil {
 			init = &cminus.IntLit{Val: 0}
@@ -1797,7 +1776,7 @@ func (bc *bcCompiler) emitFloatCombine(dst, a, b int32, op string) {
 
 func (bc *bcCompiler) assign(x *cminus.AssignStmt) {
 	if id, ok := x.LHS.(*cminus.Ident); ok {
-		s := bc.fc.resolveScalar(id.Name)
+		s := bc.r.resolveScalar(id.Name)
 		if x.Op == "" {
 			bc.scalarStore(s, x.RHS)
 			return
@@ -1805,7 +1784,7 @@ func (bc *bcCompiler) assign(x *cminus.AssignStmt) {
 		// Compound op: RHS evaluates first (tree-walker order), the
 		// combine runs at the promoted type (always int for %), and the
 		// store converts back to the target's type.
-		if x.Op == "%" || (s.typ() == tInt && bc.fc.typeOf(x.RHS) == tInt) {
+		if x.Op == "%" || (s.typ() == tInt && bc.r.typeOf(x.RHS) == tInt) {
 			r := bc.allocI()
 			bc.asITo(x.RHS, r)
 			if s.typ() == tFloat {
@@ -1879,7 +1858,7 @@ func (bc *bcCompiler) assign(x *cminus.AssignStmt) {
 	if !ok {
 		// Tree-walker order: the RHS evaluates (and may itself error)
 		// before the target is rejected.
-		if bc.fc.typeOf(x.RHS) == tFloat {
+		if bc.r.typeOf(x.RHS) == tFloat {
 			bc.emitF(x.RHS)
 		} else {
 			bc.emitI(x.RHS)
@@ -1891,9 +1870,9 @@ func (bc *bcCompiler) assign(x *cminus.AssignStmt) {
 		switch x.Op {
 		case "+", "-", "*", "/", "%":
 		default:
-			// Unknown combine: the closure engine evaluates RHS and the
-			// address, then throws from the combine table.
-			if bc.fc.typeOf(x.RHS) == tFloat {
+			// Unknown combine: evaluate the RHS and the address, then
+			// reject the operator.
+			if bc.r.typeOf(x.RHS) == tFloat {
 				bc.emitF(x.RHS)
 			} else {
 				bc.emitI(x.RHS)
@@ -1911,7 +1890,7 @@ func (bc *bcCompiler) assign(x *cminus.AssignStmt) {
 	}
 	// RHS first (static type), then addressing, then the store/update
 	// with the dynamic element-type branch.
-	if bc.fc.typeOf(x.RHS) == tFloat {
+	if bc.r.typeOf(x.RHS) == tFloat {
 		r := bc.allocF()
 		bc.emitFTo(x.RHS, r)
 		slot, one, idx, aux, ok := bc.arrayAddr(ix, x.P)
@@ -2009,7 +1988,7 @@ func (bc *bcCompiler) emitCheck(cond string, lfall int32) {
 }
 
 func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
-	lp := bc.fc.planFor(loop)
+	lp := bc.r.planFor(loop)
 	if lp == nil || !lp.Chosen {
 		bc.serialFor(loop)
 		return
@@ -2023,7 +2002,7 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 	pl := vparloop{label: loop.Label}
 	okInit := false
 	if ivar, _, ok := initVarName(loop.Init); ok {
-		switch s := bc.fc.resolveScalar(ivar); s.kind {
+		switch s := bc.r.resolveScalar(ivar); s.kind {
 		case syLocalInt:
 			okInit, pl.ivarSlot = true, int32(s.idx)
 		case syCell:
@@ -2040,7 +2019,7 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 	default:
 		d := lp.Decision
 		for _, p := range d.Privates {
-			switch s := bc.fc.resolveScalar(p); s.kind {
+			switch s := bc.r.resolveScalar(p); s.kind {
 			case syLocalInt:
 				pl.privs = append(pl.privs, privSlot{kind: pkLocalInt, slot: s.idx})
 			case syLocalFlt:
@@ -2050,7 +2029,7 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 			}
 		}
 		for _, rv := range sortedReductions(d.Reductions) {
-			switch s := bc.fc.resolveScalar(rv[0]); s.kind {
+			switch s := bc.r.resolveScalar(rv[0]); s.kind {
 			case syLocalInt:
 				pl.reds = append(pl.reds, redSlot{kind: pkLocalInt, slot: s.idx, cmb: combineKind(rv[1])})
 			case syLocalFlt:
@@ -2095,8 +2074,8 @@ func (bc *bcCompiler) flushSegs() {
 		bc.bf.pars[seg.pidx].bodyPC = bc.here()
 		bc.barrier = bc.here() // the parallel driver jumps here
 		// Worker frames share the named slots; temps restart above them.
-		bc.tI = int32(bc.fc.cf.nInts)
-		bc.tF = int32(bc.fc.cf.nFlts)
+		bc.tI = bc.nI
+		bc.tF = bc.nF
 		bc.breaks = append(bc.breaks, -1)
 		bc.conts = append(bc.conts, -1)
 		bc.block(seg.body)

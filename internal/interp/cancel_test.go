@@ -18,7 +18,7 @@ func TestCancelInfiniteLoop(t *testing.T) {
 		"while": `void spin(void) { int x; x = 0; while (1) { x = x + 1; } }`,
 		"for":   `void spin(void) { int i; int x; x = 0; for (i = 0; i < 10; i = i) { x = x + 1; } }`,
 	}
-	for _, engine := range []string{"tree", "compiled", "vm"} {
+	for _, engine := range []string{"tree", "vm"} {
 		for shape, src := range progs {
 			t.Run(engine+"/"+shape, func(t *testing.T) {
 				m, err := New(cminus.MustParse(src))
@@ -49,7 +49,7 @@ func TestCancelInfiniteLoop(t *testing.T) {
 // exactly as before.
 func TestCancelNilCtxNoop(t *testing.T) {
 	src := `void sum(int *out) { int i; int s; s = 0; for (i = 0; i < 100000; i++) { s = s + 1; } out[0] = s; }`
-	for _, engine := range []string{"tree", "compiled", "vm"} {
+	for _, engine := range []string{"tree", "vm"} {
 		m, err := New(cminus.MustParse(src))
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/cminus"
 )
 
@@ -20,7 +22,7 @@ func machineFor(t *testing.T, src, engine string) *Machine {
 	return m
 }
 
-var engines = []string{"compiled", "vm", "tree"}
+var engines = Engines()
 
 // TestArrayParamBindingScoped is the regression test for the array
 // binding leak: array arguments used to be bound into the global
@@ -123,67 +125,44 @@ void f(int out[], int n) {
 	}
 }
 
-// TestEngineSelection: unknown engine names error; both real engines
-// compute the same result; top-level return is a normal completion.
+// TestEngineSelection: the empty engine name runs the VM — a set Budget
+// gets billed, and only the VM bills it; both engines compute the same
+// result; top-level return is a normal completion; unknown names,
+// including the retired "compiled", are rejected.
 func TestEngineSelection(t *testing.T) {
 	src := `
 int g;
 void f(int n) {
-	g = n * 2;
+	int i;
+	g = 0;
+	for (i = 0; i < n; i++) { g = g + 2; }
 	return;
 	g = 0;
 }
 `
-	for _, eng := range []string{"", "compiled", "tree"} {
+	for _, eng := range []string{"", "vm", "tree"} {
 		m := machineFor(t, src, eng)
-		if err := m.Call("f", 21); err != nil {
+		m.Budget = budget.New(context.Background(), 1<<20)
+		if err := m.Call("f", 1000); err != nil {
 			t.Fatalf("engine %q: %v", eng, err)
 		}
-		if got := m.Globals["g"].AsInt(); got != 42 {
-			t.Fatalf("engine %q: g = %d, want 42", eng, got)
+		if got := m.Globals["g"].AsInt(); got != 2000 {
+			t.Fatalf("engine %q: g = %d, want 2000", eng, got)
+		}
+		if billed := m.Budget.Steps() > 0; billed != (eng != "tree") {
+			t.Fatalf("engine %q billed %d steps; only the VM bills the budget", eng, m.Budget.Steps())
 		}
 	}
-	m := machineFor(t, src, "llvm")
-	if err := m.Call("f", 1); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, eng := range []string{"llvm", "compiled"} {
+		m := machineFor(t, src, eng)
+		if err := m.Call("f", 1); err == nil {
+			t.Fatalf("unknown engine %q accepted", eng)
+		}
 	}
 }
 
-// TestCompiledCallAllocations: after warm-up, a serial compiled call
-// runs out of pooled frames and typed slots — per-call allocations stay
-// at the small constant for argument boxing, independent of loop trip
-// counts.
-func TestCompiledCallAllocations(t *testing.T) {
-	src := `
-void kernel(int a[], int n) {
-	int i;
-	int acc;
-	acc = 0;
-	for (i = 0; i < n; i++) {
-		acc = acc + a[i];
-		a[i] = acc;
-	}
-}
-`
-	m := machineFor(t, src, "compiled")
-	a := NewIntArray("a", 256)
-	if err := m.Call("kernel", a, 256); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if err := m.Call("kernel", a, 256); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Arg boxing (interface conversions) costs a handful of allocations;
-	// the 256-iteration loop body must cost none.
-	if avg > 8 {
-		t.Fatalf("compiled Call allocates %.1f allocs/run, want <= 8", avg)
-	}
-}
-
-// TestCompiledRecursion: the two-phase compile registers the function
-// shell before its body compiles, so self-recursion resolves.
+// TestCompiledRecursion: bytecode compilation registers every function
+// shell before any body compiles, so self-recursion resolves.
 func TestCompiledRecursion(t *testing.T) {
 	src := `
 int fib(int n) {

@@ -1,21 +1,13 @@
 package interp
 
-// Frames and the compiled parallel-loop driver. A frame is the flat
-// per-call activation record of a compiled function: scalar locals live
-// in typed slots, privatizable globals in cell slots, and arrays in
+// Frames and their slot descriptors. A frame is the flat per-call
+// activation record of a bytecode function: scalar locals and temps live
+// in typed columns, privatizable globals in cell slots, and arrays in
 // reference slots. Frames are pooled per function, and the parallel
 // driver hands each worker one reused frame per region, so the steady
-// state of a compiled loop allocates nothing per iteration.
+// state of a loop allocates nothing per iteration.
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/cminus"
-	"repro/internal/parallelize"
-)
-
-// frame is the flat activation record of one compiled call.
+// frame is the flat activation record of one call.
 type frame struct {
 	ints  []int64
 	flts  []float64
@@ -38,7 +30,7 @@ type paramSlot struct {
 }
 
 // entryArr binds a frame array slot from m.Arrays at call entry (the
-// compiled analogue of the tree walker's lazy global-array lookup).
+// slot analogue of the tree walker's lazy global-array lookup).
 type entryArr struct {
 	slot int
 	name string
@@ -50,124 +42,7 @@ type entryCell struct {
 	g    *Value
 }
 
-// cfunc is one compiled function.
-type cfunc struct {
-	name       string
-	decl       *cminus.FuncDecl
-	nInts      int
-	nFlts      int
-	nCells     int
-	nArrs      int
-	params     []paramSlot
-	entryArrs  []entryArr
-	entryCells []entryCell
-	body       cstmt
-	pool       sync.Pool
-}
-
-func newCfunc(fn *cminus.FuncDecl) *cfunc {
-	return &cfunc{name: fn.Name, decl: fn}
-}
-
-// finish seals the compiled function: slot counts are final, so the
-// frame pool can be armed.
-func (cf *cfunc) finish(fc *fnCompiler) {
-	cf.pool.New = func() any {
-		return &frame{
-			ints:  make([]int64, cf.nInts),
-			flts:  make([]float64, cf.nFlts),
-			cells: make([]*Value, cf.nCells),
-			arrs:  make([]*Array, cf.nArrs),
-		}
-	}
-}
-
-func (cf *cfunc) newFrame() *frame { return cf.pool.Get().(*frame) }
-
-func (cf *cfunc) release(fr *frame) { cf.pool.Put(fr) }
-
-// bindEntry prepares a fresh (possibly pooled) frame: array slots are
-// cleared and globals re-resolved, so staleness never leaks across calls.
-// Scalar columns are zeroed too — declared locals re-zero at their
-// DeclStmt anyway, but implicit locals read before their first
-// assignment (ill-formed, yet executable) must observe a deterministic
-// zero rather than pooled garbage, on every engine identically.
-func (cf *cfunc) bindEntry(fr *frame, m *Machine) {
-	for i := range fr.ints {
-		fr.ints[i] = 0
-	}
-	for i := range fr.flts {
-		fr.flts[i] = 0
-	}
-	for i := range fr.arrs {
-		fr.arrs[i] = nil
-	}
-	for _, ea := range cf.entryArrs {
-		fr.arrs[ea.slot] = m.Arrays[ea.name]
-	}
-	for _, ec := range cf.entryCells {
-		fr.cells[ec.slot] = ec.g
-	}
-}
-
-// ensureCompiled compiles the program on first use and recompiles when
-// the plan pointer changed since (plans are immutable once built).
-func (m *Machine) ensureCompiled() *compiledProgram {
-	if m.comp == nil || m.comp.plan != m.Plan {
-		m.comp = compileProgram(m)
-	}
-	return m.comp
-}
-
-// callCompiled is Machine.Call on the compiled engine.
-func (m *Machine) callCompiled(name string, args []Arg) (err error) {
-	cp := m.ensureCompiled()
-	cf := cp.funcs[name]
-	if cf == nil {
-		return fmt.Errorf("interp: no function %q", name)
-	}
-	if len(args) != len(cf.params) {
-		return fmt.Errorf("interp: %s expects %d args, got %d", name, len(cf.params), len(args))
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			ee, ok := r.(engineErr)
-			if !ok {
-				panic(r)
-			}
-			err = ee.err
-		}
-	}()
-	fr := cf.newFrame()
-	defer cf.release(fr)
-	cf.bindEntry(fr, m)
-	for i, ps := range cf.params {
-		switch ps.kind {
-		case psArr:
-			a, ok := args[i].(*Array)
-			if !ok {
-				return fmt.Errorf("interp: unsupported argument %T", args[i])
-			}
-			fr.arrs[ps.idx] = a
-		case psFlt:
-			v, ok := argValue(args[i])
-			if !ok {
-				return fmt.Errorf("interp: unsupported argument %T", args[i])
-			}
-			fr.flts[ps.idx] = v.AsFloat()
-		default:
-			v, ok := argValue(args[i])
-			if !ok {
-				return fmt.Errorf("interp: unsupported argument %T", args[i])
-			}
-			fr.ints[ps.idx] = v.AsInt()
-		}
-	}
-	fr.ret = Value{}
-	cf.body(fr)
-	return nil
-}
-
+// argValue converts a host scalar argument of Call.
 func argValue(a Arg) (Value, bool) {
 	switch v := a.(type) {
 	case Value:
@@ -204,276 +79,4 @@ type redSlot struct {
 	slot  int
 	float bool
 	cmb   int64
-}
-
-// cparloop is the compiled parallel form of one chosen loop. It mirrors
-// the tree walker's execParallelFor byte for byte: same chunking, same
-// private-per-chunk resets, same reduction identities and worker-order
-// combines — so both engines produce bit-identical results at equal
-// worker counts.
-type cparloop struct {
-	m        *Machine
-	cf       *cfunc
-	label    string
-	okInit   bool
-	okCond   bool
-	ivarCell bool // loop var is a promoted global (cell slot)
-	ivarSlot int
-	nFn      iexpr
-	body     cstmt
-	privs    []privSlot
-	reds     []redSlot
-}
-
-// compileParallelFor resolves the loop's shape and clauses against the
-// function's slots. body is the already-compiled loop body (shared with
-// the serial form).
-func (fc *fnCompiler) compileParallelFor(loop *cminus.ForStmt, lp *parallelize.LoopPlan, body cstmt) *cparloop {
-	pl := &cparloop{m: fc.c.m, cf: fc.cf, label: loop.Label, body: body}
-	if ivar, _, ok := initVarName(loop.Init); ok {
-		switch s := fc.resolveScalar(ivar); s.kind {
-		case syLocalInt:
-			pl.okInit, pl.ivarSlot = true, s.idx
-		case syCell:
-			pl.okInit, pl.ivarCell, pl.ivarSlot = true, true, s.idx
-		}
-	}
-	if cond, ok := loop.Cond.(*cminus.BinaryExpr); ok && cond.Op == "<" {
-		pl.okCond = true
-		pl.nFn = fc.asI(cond.Y)
-	}
-	d := lp.Decision
-	for _, p := range d.Privates {
-		switch s := fc.resolveScalar(p); s.kind {
-		case syLocalInt:
-			pl.privs = append(pl.privs, privSlot{kind: pkLocalInt, slot: s.idx})
-		case syLocalFlt:
-			pl.privs = append(pl.privs, privSlot{kind: pkLocalFlt, slot: s.idx})
-		case syCell:
-			pl.privs = append(pl.privs, privSlot{kind: pkCell, slot: s.idx, float: s.float})
-		}
-	}
-	for _, rv := range sortedReductions(d.Reductions) {
-		switch s := fc.resolveScalar(rv[0]); s.kind {
-		case syLocalInt:
-			pl.reds = append(pl.reds, redSlot{kind: pkLocalInt, slot: s.idx, cmb: combineKind(rv[1])})
-		case syLocalFlt:
-			pl.reds = append(pl.reds, redSlot{kind: pkLocalFlt, slot: s.idx, float: true, cmb: combineKind(rv[1])})
-		case syCell:
-			pl.reds = append(pl.reds, redSlot{kind: pkCell, slot: s.idx, float: s.float, cmb: combineKind(rv[1])})
-		}
-	}
-	return pl
-}
-
-// setup clones the parent frame into a pooled worker frame: shared
-// scalars and arrays copy through; privatized cells and reduction slots
-// get worker-private storage seeded with the reduction identity.
-func (pl *cparloop) setup(parent *frame) *frame {
-	wfr := pl.cf.newFrame()
-	copy(wfr.ints, parent.ints)
-	copy(wfr.flts, parent.flts)
-	copy(wfr.cells, parent.cells)
-	copy(wfr.arrs, parent.arrs)
-	if pl.ivarCell {
-		wfr.cells[pl.ivarSlot] = &Value{}
-	}
-	for _, p := range pl.privs {
-		if p.kind == pkCell {
-			wfr.cells[p.slot] = &Value{Float: p.float}
-		}
-	}
-	for _, r := range pl.reds {
-		ident := int64(0)
-		if r.cmb == cmbMul {
-			ident = 1
-		}
-		switch r.kind {
-		case pkLocalInt:
-			wfr.ints[r.slot] = ident
-		case pkLocalFlt:
-			wfr.flts[r.slot] = float64(ident)
-		case pkCell:
-			c := &Value{Float: r.float}
-			if r.float {
-				c.F = float64(ident)
-			} else {
-				c.I = ident
-			}
-			wfr.cells[r.slot] = c
-		}
-	}
-	wfr.ret = Value{}
-	return wfr
-}
-
-// runChunk executes [start,end) on a worker frame, zeroing privates
-// per chunk exactly like the tree walker's per-chunk scopes.
-func (pl *cparloop) runChunk(wfr *frame, start, end int64) control {
-	for _, p := range pl.privs {
-		switch p.kind {
-		case pkLocalInt:
-			wfr.ints[p.slot] = 0
-		case pkLocalFlt:
-			wfr.flts[p.slot] = 0
-		case pkCell:
-			c := wfr.cells[p.slot]
-			c.I, c.F = 0, 0
-		}
-	}
-	ivar := pl.ivarSlot
-	if pl.ivarCell {
-		c := wfr.cells[ivar]
-		for it := start; it < end; it++ {
-			pl.m.throwIfInterrupted()
-			c.I = it
-			if ctl := pl.body(wfr); ctl != ctlNext {
-				return ctl
-			}
-		}
-		return ctlNext
-	}
-	for it := start; it < end; it++ {
-		pl.m.throwIfInterrupted()
-		wfr.ints[ivar] = it
-		if ctl := pl.body(wfr); ctl != ctlNext {
-			return ctl
-		}
-	}
-	return ctlNext
-}
-
-func (pl *cparloop) run(parent *frame) control {
-	m := pl.m
-	m.Stats.ParallelRegions++
-	if !pl.okInit {
-		throwf("interp: parallel loop %s has non-canonical init", pl.label)
-	}
-	if !pl.okCond {
-		throwf("interp: parallel loop %s has non-canonical condition", pl.label)
-	}
-	n := pl.nFn(parent)
-	if n <= 0 {
-		return ctlNext
-	}
-	workers := m.Workers
-	if int64(workers) > n {
-		workers = int(n)
-	}
-
-	frames := make([]*frame, workers)
-	errs := make([]error, workers)
-	ctls := make([]control, workers)
-	var wg sync.WaitGroup
-	work := func(w int, job func(wfr *frame) control) {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				ee, ok := r.(engineErr)
-				if !ok {
-					panic(r)
-				}
-				errs[w] = ee.err
-			}
-		}()
-		ctls[w] = job(frames[w])
-	}
-
-	if m.DynamicChunk > 0 {
-		chunk := int64(m.DynamicChunk)
-		var mu sync.Mutex
-		var next int64
-		for w := 0; w < workers; w++ {
-			frames[w] = pl.setup(parent)
-			wg.Add(1)
-			go work(w, func(wfr *frame) control {
-				for {
-					mu.Lock()
-					start := next
-					next += chunk
-					mu.Unlock()
-					if start >= n {
-						return ctlNext
-					}
-					end := start + chunk
-					if end > n {
-						end = n
-					}
-					if ctl := pl.runChunk(wfr, start, end); ctl != ctlNext {
-						return ctl
-					}
-				}
-			})
-		}
-	} else {
-		per := (n + int64(workers) - 1) / int64(workers)
-		for w := 0; w < workers; w++ {
-			start := int64(w) * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			if start >= end {
-				continue
-			}
-			frames[w] = pl.setup(parent)
-			wg.Add(1)
-			go work(w, func(wfr *frame) control { return pl.runChunk(wfr, start, end) })
-		}
-	}
-	wg.Wait()
-
-	release := func() {
-		for _, wfr := range frames {
-			if wfr != nil {
-				pl.cf.release(wfr)
-			}
-		}
-	}
-	// Anomalies propagate in worker order before reductions combine,
-	// matching the tree walker's error scan.
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			err := errs[w]
-			release()
-			panic(engineErr{err})
-		}
-		if ctls[w] != ctlNext {
-			ctl := ctls[w]
-			if ctl == ctlReturn {
-				parent.ret = frames[w].ret
-			}
-			release()
-			return ctl
-		}
-	}
-	// Combine reductions deterministically in worker order.
-	for _, r := range pl.reds {
-		for w := 0; w < workers; w++ {
-			wfr := frames[w]
-			if wfr == nil {
-				continue
-			}
-			switch r.kind {
-			case pkLocalInt:
-				parent.ints[r.slot] = vmIntCombine(r.cmb, parent.ints[r.slot], wfr.ints[r.slot])
-			case pkLocalFlt:
-				parent.flts[r.slot] = vmFloatCombine(r.cmb, parent.flts[r.slot], wfr.flts[r.slot])
-			case pkCell:
-				target, cell := parent.cells[r.slot], wfr.cells[r.slot]
-				if r.float {
-					target.F = vmFloatCombine(r.cmb, target.F, cell.F)
-				} else {
-					target.I = vmIntCombine(r.cmb, target.I, cell.I)
-				}
-			}
-		}
-	}
-	// The loop variable's final value (locals only: the tree walker's
-	// env lookup misses globals here, so the cell form skips it too).
-	if !pl.ivarCell {
-		parent.ints[pl.ivarSlot] = n
-	}
-	release()
-	return ctlNext
 }

@@ -182,8 +182,8 @@ func diffSnapshots(a, b *engineSnapshot) string {
 }
 
 // treeComparable reports whether fn follows the declare-then-use
-// discipline under which the flat-slot engines are documented (see the
-// compile.go header) to match the tree walker exactly: all locals are
+// discipline under which the VM's flat slots are documented (see the
+// resolve.go header) to match the tree walker exactly: all locals are
 // declared, initializer-free, in a prefix of the body. Outside that
 // discipline the tree walker's block scoping and use-before-definition
 // errors legitimately diverge from the per-function zero-initialized
@@ -193,7 +193,7 @@ func treeComparable(prog *cminus.Program, fn *cminus.FuncDecl) bool {
 	// Only scalar declarations make a name a valid scalar assignment
 	// target: assigning an array-typed name (e.g. an int* parameter)
 	// implicitly defines a block-scoped variable in the tree walker but
-	// a function-wide slot in the slot engines.
+	// a function-wide slot in the VM.
 	declared := map[string]bool{}
 	for _, d := range prog.Globals {
 		for _, it := range d.Items {
@@ -226,7 +226,7 @@ func treeComparable(prog *cminus.Program, fn *cminus.FuncDecl) bool {
 		switch x := s.(type) {
 		case *cminus.DeclStmt:
 			// Nested declarations are block-scoped by the tree walker
-			// but flattened by the slot engines.
+			// but flattened by the VM.
 			nested := true
 			for _, top := range fn.Body.Stmts {
 				if top == s {
@@ -260,35 +260,31 @@ func treeComparable(prog *cminus.Program, fn *cminus.FuncDecl) bool {
 }
 
 // flattenProgram rewrites every function of m.Prog in place so that the
-// tree walker runs it with the slot engines' flat scoping. Each
-// non-parameter scalar slot that the engines' own resolution pass
-// assigns becomes one initializer-free declaration at the top of its
+// tree walker runs it with the VM's flat scoping. Each non-parameter
+// scalar slot that the VM's own resolution pass assigns becomes one initializer-free declaration at the top of its
 // function; every scalar declarator becomes an assignment of its
 // initializer, or of 0; array declarators stay where they are. A scalar
 // slot that shadows an array parameter (p = 0 on int *p) is a
 // non-parameter slot. Positions are kept, so diagnostics still match.
 func flattenProgram(m *Machine) {
-	c := &compiler{m: m, funcs: map[string]*cfunc{}}
 	for _, fn := range m.Prog.Funcs {
 		if fn.Body == nil {
 			continue
 		}
-		fc := &fnCompiler{c: c, fn: fn, cf: newCfunc(fn),
-			scalars: map[string]*scalarSym{}, arrays: map[string]*arraySym{}}
-		fc.resolve()
+		r := newResolver(m, fn, &bfunc{})
 		param := map[[2]int]bool{}
-		for _, ps := range fc.cf.params {
+		for _, ps := range r.bf.params {
 			param[[2]int{int(ps.kind), ps.idx}] = true
 		}
 		ints := &cminus.DeclStmt{Type: "int", P: fn.Body.P}
 		flts := &cminus.DeclStmt{Type: "double", P: fn.Body.P}
-		names := make([]string, 0, len(fc.scalars))
-		for name := range fc.scalars {
+		names := make([]string, 0, len(r.scalars))
+		for name := range r.scalars {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			s := fc.scalars[name]
+			s := r.scalars[name]
 			switch {
 			case s.name != name:
 			case s.kind == syLocalInt && !param[[2]int{int(psInt), s.idx}]:
@@ -372,15 +368,14 @@ func flattenOne(s cminus.Stmt) cminus.Stmt {
 }
 
 // checkVMDifferential is the shared fuzz body: every function in the
-// program runs through the vm (budgeted), compiled, and tree engines
-// with identical deterministic arguments; outputs and diagnostics must
-// be bit-identical. Functions outside the declare-then-use discipline
+// program runs through the vm (budgeted) and the tree walker with
+// identical deterministic arguments; outputs and diagnostics must be
+// bit-identical. Functions outside the declare-then-use discipline
 // (treeComparable) run on the tree walker after flattenProgram, so
 // every executed function has the oracle as a reference. The vm runs
 // first so a budget abort (unbounded loop or recursion) skips the input
-// before the unbudgeted engines see it — if the vm terminates, the
-// other engines execute the identical instruction trace and terminate
-// too.
+// before the unbudgeted tree walker sees it — if the vm terminates, the
+// tree walker executes the same computation and terminates too.
 func checkVMDifferential(t *testing.T, src string) {
 	t.Helper()
 	if len(src) > 1<<16 {
@@ -405,10 +400,6 @@ func checkVMDifferential(t *testing.T, src string) {
 		if vm == nil {
 			return
 		}
-		comp, _ := runEngineFuzz(src, "compiled", fn.Name, nil, false)
-		if d := diffSnapshots(vm, comp); d != "" {
-			t.Fatalf("vm vs compiled diverge on %s: %s\ninput: %q", fn.Name, d, src)
-		}
 		flat := !treeComparable(prog, fn)
 		tree, _ := runEngineFuzz(src, "tree", fn.Name, nil, flat)
 		if vm.err != tree.err {
@@ -422,9 +413,9 @@ func checkVMDifferential(t *testing.T, src string) {
 	}
 }
 
-// FuzzVMDifferential cross-checks the three engines on fuzz-generated
-// mini-C, seeded with the FuzzAnalyze seed programs and the permanent
-// crashers corpus from internal/core.
+// FuzzVMDifferential cross-checks the VM against the tree walker on
+// fuzz-generated mini-C, seeded with the FuzzAnalyze seed programs and
+// the permanent crashers corpus from internal/core.
 func FuzzVMDifferential(f *testing.F) {
 	for _, s := range vmFuzzSeeds {
 		f.Add(s)

@@ -25,10 +25,9 @@ type Machine struct {
 	// DynamicChunk, when > 0, uses dynamic scheduling with the given
 	// chunk size instead of static chunking.
 	DynamicChunk int
-	// Interp selects the execution engine: "" or "compiled" for the
-	// slot-resolved closure engine (default), "vm" for the bytecode
-	// machine, "tree" for the original tree-walking oracle. Unknown
-	// names are rejected by Call with the available-engine list.
+	// Interp selects the execution engine: "" or "vm" for the bytecode
+	// VM (default), "tree" for the tree-walking oracle. Unknown names are
+	// rejected by Call with the available-engine list.
 	Interp string
 	// Budget, when non-nil, meters VM execution: the bytecode dispatch
 	// loop bills one Step per vmQuantum instructions, so an exhausted
@@ -54,8 +53,6 @@ type Machine struct {
 	Stats Stats
 	// retVal carries the value of the innermost executing return.
 	retVal Value
-	// comp caches the compiled program; invalidated when Plan changes.
-	comp *compiledProgram
 	// bc caches the bytecode program; invalidated when Plan changes.
 	bc *bytecodeProgram
 	// arrShadows scopes m.Arrays bindings (parameter arrays, local
@@ -178,13 +175,11 @@ func convert(v Value, toFloat bool) Value {
 type Arg interface{}
 
 // Call executes the named function with the given arguments on the
-// engine selected by Interp ("" / "compiled" for the slot-resolved
-// closure engine, "tree" for the tree-walking oracle).
+// engine selected by Interp ("" / "vm" for the bytecode VM, "tree" for
+// the tree-walking oracle).
 func (m *Machine) Call(name string, args ...Arg) error {
 	switch m.Interp {
-	case "", "compiled":
-		return m.callCompiled(name, args)
-	case "vm":
+	case "", "vm":
 		return m.callVM(name, args)
 	case "tree":
 		return m.callTree(name, args)
@@ -194,8 +189,8 @@ func (m *Machine) Call(name string, args ...Arg) error {
 }
 
 // Engines lists the selectable execution engines, default first. The
-// empty string is accepted as an alias for "compiled".
-func Engines() []string { return []string{"compiled", "vm", "tree"} }
+// empty string is accepted as an alias for "vm".
+func Engines() []string { return []string{"vm", "tree"} }
 
 // Precompile validates the selected engine and forces its compilation
 // pipeline over the whole program, so engine typos and code-generation
@@ -205,9 +200,7 @@ func Engines() []string { return []string{"compiled", "vm", "tree"} }
 // flag.
 func (m *Machine) Precompile() error {
 	switch m.Interp {
-	case "", "compiled":
-		m.ensureCompiled()
-	case "vm":
+	case "", "vm":
 		m.ensureBytecode()
 	case "tree":
 	default:
@@ -397,8 +390,8 @@ func (m *Machine) interrupt() error {
 	return nil
 }
 
-// throwIfInterrupted is interrupt for the slot engines, which propagate
-// runtime errors by engineErr panic.
+// throwIfInterrupted is interrupt for the VM, which propagates runtime
+// errors by engineErr panic.
 func (m *Machine) throwIfInterrupted() {
 	if err := m.interrupt(); err != nil {
 		panic(engineErr{err})

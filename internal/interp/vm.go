@@ -8,11 +8,11 @@ import (
 	"repro/internal/sched"
 )
 
-// The bytecode VM: engine tier 3. The compiler in bytecode.go lowers the
-// slot-resolved IR to a flat []Instr; this file is the runtime — a single
-// for/switch dispatch loop over typed value columns (fr.ints / fr.flts /
-// fr.cells / fr.arrs), with zero interface boxing and zero steady-state
-// allocations. Cycle metering is billed through internal/budget once per
+// The bytecode VM, the default engine. The compiler in bytecode.go
+// lowers the slot-resolved IR to a flat []Instr; this file is the
+// runtime — a single for/switch dispatch loop over typed value columns
+// (fr.ints / fr.flts / fr.cells / fr.arrs), with zero interface boxing
+// and zero steady-state allocations. Cycle metering is billed through internal/budget once per
 // vmQuantum instructions, so a step budget bounds VM work with a
 // deterministic abort point, and context cancellation keeps the same
 // throttled back-edge polls as the tree walker (opEdge).

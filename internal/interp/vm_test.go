@@ -19,7 +19,7 @@ func TestUnknownEngineError(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown engine accepted")
 	}
-	want := `interp: unknown engine "llvm" (available: compiled, vm, tree)`
+	want := `interp: unknown engine "llvm" (available: vm, tree)`
 	if err.Error() != want {
 		t.Fatalf("error = %q, want %q", err, want)
 	}
@@ -60,17 +60,15 @@ void spin(int n) {
 		t.Fatalf("abort point not deterministic: %d vs %d billed steps", steps1, steps2)
 	}
 
-	// The tree and compiled engines do not consume the budget: the same
-	// machine budget survives a full run untouched.
-	for _, eng := range []string{"tree", "compiled"} {
-		m := machineFor(t, src, eng)
-		m.Budget = budget.New(context.Background(), limit)
-		if err := m.Call("spin", 1000); err != nil {
-			t.Fatalf("engine %q: %v", eng, err)
-		}
-		if got := m.Budget.Steps(); got != 0 {
-			t.Fatalf("engine %q billed %d steps, want 0", eng, got)
-		}
+	// The tree walker does not consume the budget: the same machine
+	// budget survives a full run untouched.
+	m := machineFor(t, src, "tree")
+	m.Budget = budget.New(context.Background(), limit)
+	if err := m.Call("spin", 1000); err != nil {
+		t.Fatalf("tree: %v", err)
+	}
+	if got := m.Budget.Steps(); got != 0 {
+		t.Fatalf("tree billed %d steps, want 0", got)
 	}
 }
 
