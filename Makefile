@@ -5,16 +5,18 @@
 #                  one-iteration bench smoke + daemon serve smoke
 #   make fmt     — fail if any file is not gofmt-clean
 #   make race    — go test -race ./... (the concurrent driver, the
-#                  sharded symbolic cache, the parallel loop driver of
-#                  the compiled engine, and the serving layer must stay
-#                  race-clean)
+#                  sharded symbolic cache, the parallel loop drivers of
+#                  the tree walker and the VM, and the serving layer
+#                  must stay race-clean)
 #   make serve-smoke — start the subsubd daemon, fire one request from
 #                  examples/daemon over real loopback HTTP twice (miss
 #                  then content-addressed hit), validate the JSON and
 #                  /metrics, and shut down gracefully
-#   make fuzz-smoke — 5s whole-pipeline fuzz (FuzzAnalyze) as a gate step
-#   make vm-differential — three-engine corpus bit-identity (tree vs
-#                  compiled vs bytecode VM) under the race detector
+#   make fuzz-smoke — 5s whole-pipeline fuzz (FuzzAnalyze) and 5s
+#                  tree-vs-VM execution fuzz (FuzzVMDifferential) as
+#                  gate steps
+#   make vm-differential — corpus bit-identity, tree vs VM, under the
+#                  race detector
 #   make codegen-differential — native-code differential: emit every
 #                  corpus kernel as a standalone parallel Go package,
 #                  go vet + build it with -race, run serial / 8-worker /
@@ -61,15 +63,15 @@ race:
 
 # One iteration per benchmark: catches compile-pass and harness
 # regressions in the gate without waiting for stable numbers.
-# BenchmarkInterp covers all three engines (tree, compiled, vm), so the
-# bytecode VM is exercised end to end here too.
+# BenchmarkInterp covers both engines (tree vs VM), so the bytecode VM
+# is exercised end to end here too.
 benchsmoke:
 	$(GO) test -run NONE -bench 'BenchmarkInterp' -benchtime=1x ./internal/corpus/
 
-# Three-engine corpus bit-identity: the tree oracle, the closure engine
-# and the bytecode VM must produce byte-identical outputs over the
-# Table-1 corpus plus the scatter extension, serial and multi-worker,
-# under the race detector; the VM fuzz seed corpus must replay clean.
+# Corpus bit-identity, tree vs VM: the tree oracle and the bytecode VM
+# must produce byte-identical outputs over the Table-1 corpus plus the
+# scatter extension, serial and multi-worker, under the race detector;
+# the VM fuzz seed corpus must replay clean.
 vm-differential:
 	$(GO) test -race -run 'TestDifferential|TestScatterSerialVsParallel|TestVM' \
 		./internal/corpus/ ./internal/interp/
@@ -93,10 +95,13 @@ trace-smoke:
 	done; \
 	echo "trace-smoke ok"
 
-# Whole-pipeline fuzz smoke: parse → analyze → re-analyze annotated
-# output under a step budget and deadline. -fuzz accepts one package.
+# Fuzz smoke: the whole pipeline (parse → analyze → re-analyze
+# annotated output under a step budget and deadline), then execution,
+# tree vs VM, with every fuzzed function compared against the tree
+# oracle. -fuzz accepts one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzVMDifferential -fuzztime 5s ./internal/interp/
 
 # Property-lattice soundness gate: the adversarial injectivity battery
 # (near-misses must stay unclassified), the scatter dependence and
