@@ -458,10 +458,9 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 		return 0, false
 	}
 	prev := &bc.code[p]
-	nInts := bc.nI
 	switch in.Op {
 	case opALoad1I, opALoad1F, opAStore1I, opAStore1F:
-		if prev.Op == opALoad1I && prev.A == in.C && prev.A >= nInts {
+		if prev.Op == opALoad1I && prev.A == in.C && prev.A >= bc.nI {
 			var op Opcode
 			switch in.Op {
 			case opALoad1I:
@@ -490,7 +489,7 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 			*prev = g
 			return p, true
 		}
-		if prev.Op == opALoadI && prev.A == in.C && prev.A >= nInts {
+		if prev.Op == opALoadI && prev.A == in.C && prev.A >= bc.nI {
 			var op Opcode
 			switch in.Op {
 			case opALoad1I:
@@ -558,13 +557,13 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 		// array into a dead temp: re-load inside the branch op. The
 		// rewritten slot becomes a jump, so it must carry the incoming
 		// instruction's label (A) and patch chain (prev) verbatim.
-		if prev.Op == opALoad1I && prev.A == in.C && prev.A >= nInts && prev.A != in.B {
+		if prev.Op == opALoad1I && prev.A == in.C && prev.A >= bc.nI && prev.A != in.B {
 			j := Instr{Op: in.Op + (opJILtA - opJILt), A: in.A, B: in.B, C: prev.C,
 				Aux: prev.Aux, K: in.K<<32 | int64(uint32(prev.B)), prev: in.prev}
 			// Cascade: the load's index was a dead temp base+literal (the
 			// a[i+1] loop-bound shape) — fold the displacement into bits
 			// 40-63 of K and pop the add.
-			if p-1 >= bc.barrier && prev.C >= nInts && prev.C != in.B {
+			if p-1 >= bc.barrier && prev.C >= bc.nI && prev.C != in.B {
 				if pr2 := &bc.code[p-1]; pr2.Op == opIAddK && pr2.A == prev.C &&
 					pr2.B != pr2.A && pr2.K >= 0 && pr2.K < 1<<20 {
 					j.C = pr2.B
@@ -586,7 +585,7 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 			return p, true
 		}
 	case opIAdd:
-		if (prev.Op == opIMul || prev.Op == opIMulK) && prev.A >= nInts &&
+		if (prev.Op == opIMul || prev.Op == opIMulK) && prev.A >= bc.nI &&
 			(prev.A == in.B) != (prev.A == in.C) {
 			other := in.C
 			if prev.A == in.C {
@@ -599,7 +598,7 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 				// value may take either factor position.
 				if p-1 >= bc.barrier {
 					mo := prev.C
-					if pr2 := &bc.code[p-1]; pr2.Op == opALoad1I && pr2.A >= nInts &&
+					if pr2 := &bc.code[p-1]; pr2.Op == opALoad1I && pr2.A >= bc.nI &&
 						(pr2.A == prev.B) != (pr2.A == mo) && pr2.A != other {
 						if pr2.A == prev.B {
 							mo = prev.C

@@ -38,8 +38,8 @@ type Machine struct {
 	// Trace, when recording, receives compile-bc spans for bytecode
 	// compilation and exec-vm spans for VM runs. Nil-safe.
 	Trace *trace.Recorder
-	// Ctx cancels a running program: every engine polls it at loop back
-	// edges (every 1024 edges machine-wide) and aborts with an error
+	// Ctx cancels a running program: both engines poll it at loop back
+	// edges (every 1024 edges machine-wide) and abort with an error
 	// wrapping budget.ErrCanceled. Nil means non-cancellable.
 	Ctx context.Context
 	// edges counts loop back edges since machine creation; shared across
@@ -374,8 +374,8 @@ var (
 // backEdgeMask throttles Ctx polls to one per 1024 loop back edges.
 const backEdgeMask = 1<<10 - 1
 
-// interrupt reports a cancellation error once m.Ctx is done. Every
-// engine calls it at every loop back edge; with no context the cost is
+// interrupt reports a cancellation error once m.Ctx is done. Both
+// engines call it at every loop back edge; with no context the cost is
 // one nil check, with one it is one shared atomic add.
 func (m *Machine) interrupt() error {
 	if m.Ctx == nil {

@@ -12,10 +12,11 @@ import (
 // lowers the slot-resolved IR to a flat []Instr; this file is the
 // runtime — a single for/switch dispatch loop over typed value columns
 // (fr.ints / fr.flts / fr.cells / fr.arrs), with zero interface boxing
-// and zero steady-state allocations. Cycle metering is billed through internal/budget once per
-// vmQuantum instructions, so a step budget bounds VM work with a
-// deterministic abort point, and context cancellation keeps the same
-// throttled back-edge polls as the tree walker (opEdge).
+// and zero steady-state allocations. Cycle metering is billed through
+// internal/budget once per vmQuantum instructions, so a step budget
+// bounds VM work with a deterministic abort point, and context
+// cancellation keeps the same throttled back-edge polls as the tree
+// walker (opEdge).
 
 // vmQuantum is the metering quantum: the dispatch loop bills one
 // Budget.Step(vmQuantum) every vmQuantum instructions, so an exhausted
