@@ -24,7 +24,6 @@ const (
 )
 
 type paramSlot struct {
-	name string
 	kind uint8
 	idx  int
 }

@@ -83,7 +83,6 @@ func (s *scalarSym) typ() ctyp {
 type arraySym struct {
 	slot  int
 	float bool // declared element type (runtime re-checks actual arrays)
-	local bool // declared by a DeclStmt (allocated at decl execution)
 }
 
 // resolver holds one function's symbol tables. Slot counts, parameter
@@ -128,8 +127,8 @@ func (r *resolver) newScalarSlot(name string, float bool) *scalarSym {
 	return s
 }
 
-func (r *resolver) newArraySlot(name string, float, local bool) *arraySym {
-	a := &arraySym{slot: r.bf.nArrs, float: float, local: local}
+func (r *resolver) newArraySlot(name string, float bool) *arraySym {
+	a := &arraySym{slot: r.bf.nArrs, float: float}
 	r.bf.nArrs++
 	r.arrays[name] = a
 	return a
@@ -147,7 +146,7 @@ func (r *resolver) entryArray(name string) *arraySym {
 	if a, ok := r.m.Arrays[name]; ok {
 		float = a.Float
 	}
-	a := r.newArraySlot(name, float, false)
+	a := r.newArraySlot(name, float)
 	r.bf.entryArrs = append(r.bf.entryArrs, entryArr{slot: a.slot, name: name})
 	return a
 }
@@ -162,8 +161,8 @@ func (r *resolver) resolve() {
 	for _, prm := range r.fn.Params {
 		isFloat := cminus.IsFloatType(prm.Type)
 		if prm.PtrDeep > 0 || len(prm.Dims) > 0 {
-			a := r.newArraySlot(prm.Name, isFloat, false)
-			r.bf.params = append(r.bf.params, paramSlot{name: prm.Name, kind: psArr, idx: a.slot})
+			a := r.newArraySlot(prm.Name, isFloat)
+			r.bf.params = append(r.bf.params, paramSlot{kind: psArr, idx: a.slot})
 			continue
 		}
 		s := r.newScalarSlot(prm.Name, isFloat)
@@ -171,7 +170,7 @@ func (r *resolver) resolve() {
 		if isFloat {
 			kind = psFlt
 		}
-		r.bf.params = append(r.bf.params, paramSlot{name: prm.Name, kind: kind, idx: s.idx})
+		r.bf.params = append(r.bf.params, paramSlot{kind: kind, idx: s.idx})
 	}
 
 	// Declared locals (scalars and arrays), anywhere in the body.
@@ -184,7 +183,7 @@ func (r *resolver) resolve() {
 		for _, it := range d.Items {
 			if len(it.Dims) > 0 || it.PtrDeep > 0 {
 				if r.arrays[it.Name] == nil {
-					r.newArraySlot(it.Name, isFloat, true)
+					r.newArraySlot(it.Name, isFloat)
 				}
 				continue
 			}
