@@ -46,11 +46,11 @@ var runtimeEngines = []string{"tree", "vm", "native"}
 // Runtime measures real (not simulated) execution time of the corpus
 // workloads across the engine tiers — tree oracle, bytecode VM (the
 // default engine), and the native tier (internal/codegen output built
-// with the Go compiler and timed inside the binary) — serial and parallel,
-// prints a table, and — when jsonPath is non-empty — writes the rows
-// there as machine-readable JSON. The workload is rebuilt from scratch
-// for every repetition so repeated runs never feed a kernel its own
-// output.
+// with the Go compiler and timed inside the binary) — serial and
+// parallel, prints a table, and — when jsonPath is non-empty — writes
+// the rows there as machine-readable JSON. The workload is rebuilt from
+// scratch for every repetition so repeated runs never feed a kernel its
+// own output.
 func (h *Harness) Runtime(jsonPath string) (*RuntimeReport, error) {
 	scale, reps := corpus.ScaleBench, 3
 	if h.Quick {

@@ -261,11 +261,12 @@ func treeComparable(prog *cminus.Program, fn *cminus.FuncDecl) bool {
 
 // flattenProgram rewrites every function of m.Prog in place so that the
 // tree walker runs it with the VM's flat scoping. Each non-parameter
-// scalar slot that the VM's own resolution pass assigns becomes one initializer-free declaration at the top of its
-// function; every scalar declarator becomes an assignment of its
-// initializer, or of 0; array declarators stay where they are. A scalar
-// slot that shadows an array parameter (p = 0 on int *p) is a
-// non-parameter slot. Positions are kept, so diagnostics still match.
+// scalar slot that the VM's own resolution pass assigns becomes one
+// initializer-free declaration at the top of its function; every scalar
+// declarator becomes an assignment of its initializer, or of 0; array
+// declarators stay where they are. A scalar slot that shadows an array
+// parameter (p = 0 on int *p) is a non-parameter slot. Positions are
+// kept, so diagnostics still match.
 func flattenProgram(m *Machine) {
 	for _, fn := range m.Prog.Funcs {
 		if fn.Body == nil {
@@ -286,7 +287,6 @@ func flattenProgram(m *Machine) {
 		for _, name := range names {
 			s := r.scalars[name]
 			switch {
-			case s.name != name:
 			case s.kind == syLocalInt && !param[[2]int{int(psInt), s.idx}]:
 				ints.Items = append(ints.Items, cminus.DeclItem{Name: name})
 			case s.kind == syLocalFlt && !param[[2]int{int(psFlt), s.idx}]:
