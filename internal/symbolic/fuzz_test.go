@@ -92,31 +92,39 @@ func (d *exprDecoder) expr(depth int) Expr {
 	}
 }
 
+// simplifySeeds are the FuzzSimplify seed inputs.
+var simplifySeeds = [][]byte{
+	{},
+	{0},
+	{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+	{9, 9, 9, 9, 9, 9, 9, 9},             // nested tagged
+	{12, 0, 1, 2, 12, 3, 4, 5},           // comparisons
+	{6, 6, 1, 2, 3, 6, 4, 5, 0},          // nested ranges
+	{0, 2, 255, 1, 0, 2, 255, 1, 0},      // sums with negative ints
+	{4, 2, 0, 10, 1, 5, 2, 0, 10, 1},     // min/max folding
+	{1, 1, 0, 3, 0, 0, 1, 1, 0, 3, 0, 0}, // products over sums
+	{10, 2, 4, 4, 4, 4},                  // sets
+	{11, 1, 7, 3, 11, 0, 7, 3},           // mono annotations
+	{2, 3, 128, 2, 3, 128},               // div/mod by decoded bytes
+}
+
+// decodeFuzzExpr is the expression FuzzSimplify builds from data.
+func decodeFuzzExpr(data []byte) Expr {
+	dec := &exprDecoder{data: data, budget: 128}
+	return dec.expr(5)
+}
+
 // FuzzSimplify: the simplifier must never panic, must be idempotent, and
 // the memoized result must match the uncached one — so the fuzzer drives
 // both the canonicalization rules and the new cache paths (structural
-// keys, sharding, interning).
+// keys, sharding, interning). The memo key must also match the reference
+// renderer's.
 func FuzzSimplify(f *testing.F) {
-	seeds := [][]byte{
-		{},
-		{0},
-		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
-		{9, 9, 9, 9, 9, 9, 9, 9},             // nested tagged
-		{12, 0, 1, 2, 12, 3, 4, 5},           // comparisons
-		{6, 6, 1, 2, 3, 6, 4, 5, 0},          // nested ranges
-		{0, 2, 255, 1, 0, 2, 255, 1, 0},      // sums with negative ints
-		{4, 2, 0, 10, 1, 5, 2, 0, 10, 1},     // min/max folding
-		{1, 1, 0, 3, 0, 0, 1, 1, 0, 3, 0, 0}, // products over sums
-		{10, 2, 4, 4, 4, 4},                  // sets
-		{11, 1, 7, 3, 11, 0, 7, 3},           // mono annotations
-		{2, 3, 128, 2, 3, 128},               // div/mod by decoded bytes
-	}
-	for _, s := range seeds {
+	for _, s := range simplifySeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := &exprDecoder{data: data, budget: 128}
-		e := dec.expr(5)
+		e := decodeFuzzExpr(data)
 
 		prev := SetCacheEnabled(false)
 		uncached := Simplify(e)
@@ -131,8 +139,12 @@ func FuzzSimplify(f *testing.F) {
 		if again := Simplify(cached).String(); again != uncachedStr {
 			t.Fatalf("Simplify not idempotent:\n  expr:  %s\n  once:  %q\n  twice: %q", e, uncachedStr, again)
 		}
-		if key := structuralKey(e); key != structuralKey(e) {
-			t.Fatalf("structuralKey not deterministic for %s", e)
+		key, over := renderedKey(e)
+		if over {
+			t.Fatalf("decoded expression exceeds the caps: %s", e)
+		}
+		if want := string(refAppendKey(nil, e)); key != want {
+			t.Fatalf("memo key diverges from the reference:\n  expr: %s\n  key:  %q\n  ref:  %q", e, key, want)
 		}
 	})
 }
