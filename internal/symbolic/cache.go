@@ -6,15 +6,21 @@ package symbolic
 // The analysis recanonicalizes the same expressions thousands of times per
 // loop nest (every dependence pair, every sign proof and every aggregation
 // step re-simplifies its operands), so Simplify results are memoized under
-// a structurally injective key. Keys are rendered into pooled byte
-// buffers and probed without conversion, so a hit allocates nothing and
-// only an insert copies its key into a string. All caches are safe for
-// concurrent use; because Simplify is deterministic, a cached result is
-// bit-identical to a recomputed one, which is what makes the concurrent
-// batch driver's output reproducible. Hit/miss/eviction counters are
-// exported for the compile-time experiments.
+// a structurally injective key. A probe is one pass over its input: the
+// key render also enforces the structural caps of limits.go, counting
+// nodes and depth as it writes, so no walk precedes it. Keys are rendered
+// into pooled buffers and probed without conversion, so a hit allocates
+// nothing and only an insert copies its key into a string; the arithmetic
+// combinators (arith.go) render the key of the sum or product they would
+// build straight from its operands and build it only on a miss. All
+// caches are safe for concurrent use; because Simplify is deterministic, a
+// cached result is bit-identical to a recomputed one, which is what makes
+// the concurrent batch driver's output reproducible. Hit/miss/eviction
+// counters are exported for the compile-time experiments.
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,18 +50,29 @@ type shardedCache[T any] struct {
 	evictions atomic.Int64
 }
 
-// fnv32a hashes a key to pick its shard.
-func fnv32a(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range key {
-		h ^= uint32(c)
-		h *= 16777619
+// shardHash hashes a key to pick its shard, mixing eight bytes per step
+// and finishing with the murmur3 avalanche so the low bits depend on every
+// byte. It is unseeded, unlike hash/maphash, so which keys share a shard,
+// and so when a shard is evicted, is the same on every run.
+func shardHash(key []byte) uint64 {
+	const k = 0x517cc1b727220a95
+	h := uint64(len(key))
+	for ; len(key) >= 8; key = key[8:] {
+		h = (bits.RotateLeft64(h, 5) ^ binary.LittleEndian.Uint64(key)) * k
 	}
+	var tail uint64
+	for i, c := range key {
+		tail |= uint64(c) << (8 * i)
+	}
+	h = (bits.RotateLeft64(h, 5) ^ tail) * k
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
 	return h
 }
 
 func (c *shardedCache[T]) shardFor(key []byte) *cacheShard[T] {
-	return &c.shards[fnv32a(key)&(cacheShardCount-1)]
+	return &c.shards[shardHash(key)&(cacheShardCount-1)]
 }
 
 func (c *shardedCache[T]) get(key []byte) (T, bool) {
@@ -189,17 +206,17 @@ func Intern(e Expr) Expr {
 	if e == nil {
 		return nil
 	}
-	if exceedsLimits(e) {
-		// Too large to key without deep recursion; interning is
-		// best-effort, so just hand the instance back.
+	r := renderKey(e)
+	defer keyRenders.Put(r)
+	if r.over {
+		// Past the caps there is no key; interning is best-effort, so
+		// just hand the instance back.
 		return e
 	}
-	bp := getKey(e)
-	defer keyBufs.Put(bp)
-	if v, ok := internCache.get(*bp); ok {
+	if v, ok := internCache.get(r.b); ok {
 		return v
 	}
-	internCache.put(*bp, e)
+	internCache.put(r.b, e)
 	internCount.Add(1)
 	return e
 }
@@ -210,22 +227,28 @@ func CanonicalString(e Expr) string {
 	if e == nil {
 		return Bottom{}.String()
 	}
-	// Same structural caps as Simplify, checked before the recursive key
-	// render; the result matches Simplify(e).String() for capped inputs.
-	if exceedsLimits(e) {
+	// Same structural caps as Simplify, so the result matches
+	// Simplify(e).String() for capped inputs too.
+	r := renderKey(e)
+	defer keyRenders.Put(r)
+	if r.over {
 		capHits.Add(1)
 		return Bottom{}.String()
 	}
 	if cacheOff.Load() {
-		return Simplify(e).String()
+		return simplify1(e).String()
 	}
-	bp := getKey(e)
-	defer keyBufs.Put(bp)
-	if s, ok := canonCache.get(*bp); ok {
+	if s, ok := canonCache.get(r.b); ok {
 		return s
 	}
-	s := Simplify(e).String()
-	canonCache.put(*bp, s)
+	// The Simplify memo is keyed by the same bytes, so a miss here
+	// probes it without rendering e again.
+	v := e
+	if !isLeaf(e) {
+		v = r.simplify(e)
+	}
+	s := v.String()
+	canonCache.put(r.b, s)
 	return s
 }
 
@@ -238,124 +261,161 @@ func Compare(a, b Expr) int {
 
 // ---- structural keys ----
 
-// keyBufs recycles the buffers memo keys are rendered into. A caller
-// holds its buffer until its probe (and any insert) is done; recursive
-// simplification in between takes buffers of its own.
-var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// getKey renders e's structural key into a pooled buffer; the caller
-// returns it to keyBufs when done with the key.
-func getKey(e Expr) *[]byte {
-	bp := keyBufs.Get().(*[]byte)
-	*bp = appendKey((*bp)[:0], e)
-	return bp
-}
-
-// appendKey appends an injective encoding of e's structure to b. It
-// differs from String in that it loses nothing: Tagged conditions, the
+// keyRender renders memo keys and enforces the structural caps in the
+// same pass. A key is an injective encoding of an expression's structure.
+// It differs from String in that it loses nothing: Tagged conditions, the
 // distinction between Sym/Lambda/BigLambda with colliding renderings, and
 // list arities are all encoded, so two distinct expressions never share a
-// key.
-func appendKey(b []byte, e Expr) []byte {
+// key. While writing, the render counts nodes and tracks depth exactly as
+// the caps define them (the root at depth 1; nil children are written but
+// not counted) and stops at the first node past maxExprNodes or
+// maxExprDepth, setting over; the bytes written by then are not a key.
+// Stopping there bounds the render's own recursion by maxExprDepth.
+type keyRender struct {
+	b     []byte
+	nodes int
+	over  bool
+}
+
+// keyRenders recycles renderers. A caller holds its renderer until its
+// probe (and any insert) is done; recursive simplification in between
+// takes renderers of its own.
+var keyRenders = sync.Pool{New: func() any { return new(keyRender) }}
+
+// newKeyRender takes an empty renderer from keyRenders; the caller puts
+// it back when done with the key.
+func newKeyRender() *keyRender {
+	r := keyRenders.Get().(*keyRender)
+	r.b, r.nodes, r.over = r.b[:0], 0, false
+	return r
+}
+
+// renderKey renders e's key (or its cap verdict) into a pooled renderer.
+func renderKey(e Expr) *keyRender {
+	r := newKeyRender()
+	r.expr(e, 1)
+	return r
+}
+
+// enter counts one node at depth and reports whether the render goes on.
+func (r *keyRender) enter(depth int) bool {
+	r.nodes++
+	if r.nodes > maxExprNodes || depth > maxExprDepth {
+		r.over = true
+	}
+	return !r.over
+}
+
+// expr renders e, a node at depth.
+func (r *keyRender) expr(e Expr, depth int) {
+	if e == nil {
+		r.b = append(r.b, 'N')
+		return
+	}
+	if !r.enter(depth) {
+		return
+	}
+	d := depth + 1
 	switch x := e.(type) {
-	case nil:
-		b = append(b, 'N')
 	case Int:
-		b = append(b, 'i')
-		b = strconv.AppendInt(b, x.Val, 10)
+		r.b = append(r.b, 'i')
+		r.b = strconv.AppendInt(r.b, x.Val, 10)
 	case Sym:
-		b = keyName(b, 's', x.Name)
+		r.name('s', x.Name)
 	case Lambda:
-		b = keyName(b, 'l', x.Name)
+		r.name('l', x.Name)
 	case BigLambda:
-		b = keyName(b, 'G', x.Name)
+		r.name('G', x.Name)
 	case Add:
-		b = keyList(b, '+', x.Terms)
+		r.list('+', x.Terms, d)
 	case Mul:
-		b = keyList(b, '*', x.Factors)
+		r.list('*', x.Factors, d)
 	case Div:
-		b = append(b, '/')
-		b = appendKey(b, x.Num)
-		b = appendKey(b, x.Den)
+		r.pair('/', x.Num, x.Den, d)
 	case Mod:
-		b = append(b, '%')
-		b = appendKey(b, x.Num)
-		b = appendKey(b, x.Den)
+		r.pair('%', x.Num, x.Den, d)
 	case Min:
-		b = keyList(b, 'm', x.Args)
+		r.list('m', x.Args, d)
 	case Max:
-		b = keyList(b, 'M', x.Args)
+		r.list('M', x.Args, d)
 	case ArrayRef:
-		b = keyName(b, 'a', x.Name)
-		b = keyList(b, '[', x.Indices)
+		r.name('a', x.Name)
+		r.list('[', x.Indices, d)
 	case Call:
-		b = keyName(b, 'c', x.Name)
-		b = keyList(b, '(', x.Args)
+		r.name('c', x.Name)
+		r.list('(', x.Args, d)
 	case Range:
-		b = append(b, 'R')
-		b = appendKey(b, x.Lo)
-		b = appendKey(b, x.Hi)
+		r.pair('R', x.Lo, x.Hi, d)
 	case Tagged:
-		b = append(b, 'T')
-		b = appendKey(b, x.Cond)
-		b = appendKey(b, x.E)
+		r.pair('T', x.Cond, x.E, d)
 	case Set:
-		b = keyList(b, '{', x.Items)
+		r.list('{', x.Items, d)
 	case Mono:
-		b = append(b, 'o')
+		r.b = append(r.b, 'o')
 		if x.Strict {
-			b = append(b, 'S')
+			r.b = append(r.b, 'S')
 		}
-		b = strconv.AppendInt(b, int64(x.Dim), 10)
-		b = append(b, ':')
-		b = appendKey(b, x.Base)
+		r.b = strconv.AppendInt(r.b, int64(x.Dim), 10)
+		r.b = append(r.b, ':')
+		r.expr(x.Base, d)
 	case Bottom:
-		b = append(b, 'B')
+		r.b = append(r.b, 'B')
 	case Cmp:
-		b = append(b, 'C')
-		b = strconv.AppendInt(b, int64(x.Op), 10)
-		b = appendKey(b, x.L)
-		b = appendKey(b, x.R)
+		r.b = append(r.b, 'C')
+		r.b = strconv.AppendInt(r.b, int64(x.Op), 10)
+		r.expr(x.L, d)
+		r.expr(x.R, d)
 	case And:
-		b = keyList(b, '&', x.Conds)
+		r.list('&', x.Conds, d)
 	case Or:
-		b = keyList(b, '|', x.Conds)
+		r.list('|', x.Conds, d)
 	case Not:
-		b = append(b, '!')
-		b = appendKey(b, x.C)
+		r.b = append(r.b, '!')
+		r.expr(x.C, d)
 	case BoolLit:
 		if x.Val {
-			b = append(b, "b1"...)
+			r.b = append(r.b, "b1"...)
 		} else {
-			b = append(b, "b0"...)
+			r.b = append(r.b, "b0"...)
 		}
 	default:
 		// Unknown implementations fall back to a length-prefixed String.
 		s := e.String()
-		b = append(b, '?')
-		b = strconv.AppendInt(b, int64(len(s)), 10)
-		b = append(b, ':')
-		b = append(b, s...)
+		r.b = append(r.b, '?')
+		r.b = strconv.AppendInt(r.b, int64(len(s)), 10)
+		r.b = append(r.b, ':')
+		r.b = append(r.b, s...)
 	}
-	return b
 }
 
-// keyName appends a length-prefixed name so arbitrary names cannot
-// collide with neighbouring fields.
-func keyName(b []byte, tag byte, name string) []byte {
-	b = append(b, tag)
-	b = strconv.AppendInt(b, int64(len(name)), 10)
-	b = append(b, ':')
-	return append(b, name...)
+// name writes a length-prefixed name so arbitrary names cannot collide
+// with neighbouring fields.
+func (r *keyRender) name(tag byte, name string) {
+	r.head(tag, len(name))
+	r.b = append(r.b, name...)
 }
 
-// keyList appends an arity-prefixed child list.
-func keyList(b []byte, tag byte, es []Expr) []byte {
-	b = append(b, tag)
-	b = strconv.AppendInt(b, int64(len(es)), 10)
-	b = append(b, ':')
+// head writes a tag and a count: a name's length or a list's arity.
+func (r *keyRender) head(tag byte, n int) {
+	r.b = append(r.b, tag)
+	r.b = strconv.AppendInt(r.b, int64(n), 10)
+	r.b = append(r.b, ':')
+}
+
+// pair writes a tag and two children at depth.
+func (r *keyRender) pair(tag byte, x, y Expr, depth int) {
+	r.b = append(r.b, tag)
+	r.expr(x, depth)
+	r.expr(y, depth)
+}
+
+// list writes an arity-prefixed child list at depth.
+func (r *keyRender) list(tag byte, es []Expr, depth int) {
+	r.head(tag, len(es))
 	for _, e := range es {
-		b = appendKey(b, e)
+		if r.expr(e, depth); r.over {
+			return
+		}
 	}
-	return append(b, ';')
+	r.b = append(r.b, ';')
 }

@@ -2,16 +2,19 @@ package symbolic
 
 // Structural caps on the expressions the engine will canonicalize.
 //
-// Simplify and the structural-key renderers recurse over their input, so
-// an adversarially deep or enormous expression could overflow the Go
-// stack (a fatal, unrecoverable condition) or burn unbounded time before
-// any budget check runs. Every public entry that recurses therefore
-// measures its input first — iteratively, with early exit — and degrades
-// to ⊥ ("unknown value", always sound for this analysis) when the input
-// exceeds the caps. The caps are purely structural properties of the
-// input, so capped results are deterministic and cacheable: warm and
-// cold caches yield bit-identical output, preserving the reproducibility
-// invariant of the batch driver.
+// Simplify recurses over its input, so an adversarially deep or enormous
+// expression could overflow the Go stack (a fatal, unrecoverable
+// condition) or burn unbounded time before any budget check runs. Every
+// public entry that recurses (Simplify, CanonicalString, Intern) starts
+// by rendering its input's memo key, and that render enforces the caps:
+// it counts nodes and depth as it writes and stops at the first node past
+// either cap (keyRender in cache.go), so its own recursion is bounded by
+// maxExprDepth and there is no separate pre-walk. An input past the caps
+// degrades to ⊥ ("unknown value", always sound for this analysis),
+// whether or not the memo is enabled. The caps are purely structural
+// properties of the input, so capped results are deterministic and
+// cacheable: warm and cold caches yield bit-identical output, preserving
+// the reproducibility invariant of the batch driver.
 
 import "sync/atomic"
 
@@ -31,8 +34,7 @@ var capHits atomic.Int64
 
 // Stepper receives coarse work charges from the symbolic layer; it is
 // implemented by ranges.Dict (forwarding to the analysis budget) so sign
-// proofs and counted entry points bill the budget without the symbolic
-// package importing it.
+// proofs bill the budget without the symbolic package importing it.
 type Stepper interface {
 	Step(n int64)
 }
@@ -45,108 +47,4 @@ type Stepper interface {
 // disabled: SignOf invokes this on every query.
 type ProofCounter interface {
 	CountProofs(n int64)
-}
-
-// measure walks e iteratively, counting nodes and tracking depth, and
-// stops early once either cap is exceeded. It never recurses, so it is
-// safe on inputs that would overflow the stack elsewhere.
-func measure(e Expr) (nodes int, exceeded bool) {
-	type frame struct {
-		e Expr
-		d int
-	}
-	var buf [64]frame
-	stack := append(buf[:0], frame{e, 1})
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.e == nil {
-			continue
-		}
-		nodes++
-		if nodes > maxExprNodes || f.d > maxExprDepth {
-			return nodes, true
-		}
-		d := f.d + 1
-		switch x := f.e.(type) {
-		case Add:
-			for _, c := range x.Terms {
-				stack = append(stack, frame{c, d})
-			}
-		case Mul:
-			for _, c := range x.Factors {
-				stack = append(stack, frame{c, d})
-			}
-		case Div:
-			stack = append(stack, frame{x.Num, d}, frame{x.Den, d})
-		case Mod:
-			stack = append(stack, frame{x.Num, d}, frame{x.Den, d})
-		case Min:
-			for _, c := range x.Args {
-				stack = append(stack, frame{c, d})
-			}
-		case Max:
-			for _, c := range x.Args {
-				stack = append(stack, frame{c, d})
-			}
-		case ArrayRef:
-			for _, c := range x.Indices {
-				stack = append(stack, frame{c, d})
-			}
-		case Call:
-			for _, c := range x.Args {
-				stack = append(stack, frame{c, d})
-			}
-		case Range:
-			stack = append(stack, frame{x.Lo, d}, frame{x.Hi, d})
-		case Tagged:
-			stack = append(stack, frame{x.Cond, d}, frame{x.E, d})
-		case Set:
-			for _, c := range x.Items {
-				stack = append(stack, frame{c, d})
-			}
-		case Mono:
-			stack = append(stack, frame{x.Base, d})
-		case Cmp:
-			stack = append(stack, frame{x.L, d}, frame{x.R, d})
-		case And:
-			for _, c := range x.Conds {
-				stack = append(stack, frame{c, d})
-			}
-		case Or:
-			for _, c := range x.Conds {
-				stack = append(stack, frame{c, d})
-			}
-		case Not:
-			stack = append(stack, frame{x.C, d})
-		}
-	}
-	return nodes, false
-}
-
-// exceedsLimits reports whether e is too large or too deep to process.
-func exceedsLimits(e Expr) bool {
-	_, x := measure(e)
-	return x
-}
-
-// SimplifyCounted is Simplify with the work charged to s: the bill is
-// proportional to the input size (its node count), the dominant cost of
-// a canonicalization whether or not the memo cache hits. s may be nil.
-func SimplifyCounted(e Expr, s Stepper) Expr {
-	if s != nil && e != nil {
-		n, _ := measure(e)
-		s.Step(int64(n))
-	}
-	return Simplify(e)
-}
-
-// CompareCounted is Compare with the work charged to s. s may be nil.
-func CompareCounted(a, b Expr, s Stepper) int {
-	if s != nil {
-		na, _ := measure(a)
-		nb, _ := measure(b)
-		s.Step(int64(na + nb))
-	}
-	return Compare(a, b)
 }

@@ -63,32 +63,20 @@ func TestWithinLimitsUnaffected(t *testing.T) {
 	}
 }
 
-type countStepper struct{ n int64 }
-
-func (c *countStepper) Step(n int64) { c.n += n }
-
-func TestSimplifyCountedCharges(t *testing.T) {
-	var s countStepper
-	e := AddExpr(NewSym("a"), NewSym("b"))
-	SimplifyCounted(e, &s)
-	if s.n == 0 {
-		t.Fatalf("no steps charged")
-	}
-	var s2 countStepper
-	if CompareCounted(e, NewSym("a"), &s2); s2.n == 0 {
-		t.Fatalf("CompareCounted charged nothing")
-	}
-	// nil Stepper must be accepted.
-	SimplifyCounted(e, nil)
-	CompareCounted(e, e, nil)
-}
-
 func TestMeasureCountsNodes(t *testing.T) {
-	n, big := measure(AddExpr(NewSym("a"), NewSym("b")))
-	if big || n < 3 {
-		t.Fatalf("measure = (%d, %v)", n, big)
+	r := renderKey(AddExpr(NewSym("a"), NewSym("b")))
+	defer keyRenders.Put(r)
+	if r.over || r.nodes != 3 {
+		t.Fatalf("render counted %d nodes (over=%v), want 3", r.nodes, r.over)
 	}
-	if _, big := measure(deepAdd(maxExprDepth + 5)); !big {
+	deep := renderKey(deepAdd(maxExprDepth + 5))
+	defer keyRenders.Put(deep)
+	if !deep.over {
 		t.Fatalf("deep expression not flagged")
+	}
+	// The render stops at the first node past the depth cap: one chain
+	// of Add nodes and the 1s beside them, never the rest of the input.
+	if deep.nodes > 2*maxExprDepth {
+		t.Fatalf("render visited %d nodes of a capped input", deep.nodes)
 	}
 }

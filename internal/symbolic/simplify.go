@@ -21,29 +21,58 @@ func Simplify(e Expr) Expr {
 	if e == nil {
 		return Bottom{}
 	}
-	switch e.(type) {
 	// Leaves are already canonical; skip the cache key entirely.
-	case Int, Sym, Lambda, BigLambda, Bottom, BoolLit:
+	if isLeaf(e) {
 		return e
 	}
-	// Structural caps: an input too deep or too large to canonicalize
-	// degrades to ⊥ before any recursion (see limits.go). Children seen
-	// during recursive simplification are subtrees of a measured input,
-	// so they pass their own (smaller) check.
-	if exceedsLimits(e) {
-		capHits.Add(1)
-		return Bottom{}
+	// Rendering the memo key also applies the structural caps: an input
+	// too deep or too large to canonicalize degrades to ⊥ before any
+	// recursion (see limits.go). Children seen during recursive
+	// simplification are subtrees of a rendered input, so they pass
+	// their own (smaller) check.
+	r := renderKey(e)
+	defer keyRenders.Put(r)
+	return r.simplify(e)
+}
+
+// isLeaf reports whether e is an atom Simplify returns unchanged.
+func isLeaf(e Expr) bool {
+	switch e.(type) {
+	case Int, Sym, Lambda, BigLambda, Bottom, BoolLit:
+		return true
 	}
-	if cacheOff.Load() {
-		return simplify1(e)
-	}
-	bp := getKey(e)
-	defer keyBufs.Put(bp)
-	if v, ok := simpCache.get(*bp); ok {
+	return false
+}
+
+// simplify returns Simplify(e) for a non-leaf e whose key r holds.
+func (r *keyRender) simplify(e Expr) Expr {
+	if v, ok := r.probe(); ok {
 		return v
 	}
-	v := Intern(simplify1(e))
-	simpCache.put(*bp, v)
+	return r.fill(e)
+}
+
+// probe looks up the memoized Simplify result for the key r holds: ⊥
+// when the rendered input exceeded the caps, the stored result on a hit.
+func (r *keyRender) probe() (Expr, bool) {
+	if r.over {
+		capHits.Add(1)
+		return Bottom{}, true
+	}
+	if cacheOff.Load() {
+		return nil, false
+	}
+	return simpCache.get(r.b)
+}
+
+// fill simplifies e, whose key r holds, and memoizes the result.
+func (r *keyRender) fill(e Expr) Expr {
+	v := simplify1(e)
+	if cacheOff.Load() {
+		return v
+	}
+	v = Intern(v)
+	simpCache.put(r.b, v)
 	return v
 }
 
