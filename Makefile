@@ -12,9 +12,10 @@
 #                  examples/daemon over real loopback HTTP twice (miss
 #                  then content-addressed hit), validate the JSON and
 #                  /metrics, and shut down gracefully
-#   make fuzz-smoke — 5s whole-pipeline fuzz (FuzzAnalyze) and 5s
-#                  tree-vs-VM execution fuzz (FuzzVMDifferential) as
-#                  gate steps
+#   make fuzz-smoke — 5s each of whole-pipeline fuzz (FuzzAnalyze),
+#                  tree-vs-VM execution fuzz (FuzzVMDifferential), the
+#                  simplifier and its memo keys (FuzzSimplify) and the
+#                  parser (FuzzParse) as gate steps
 #   make vm-differential — corpus bit-identity, tree vs VM, under the
 #                  race detector
 #   make codegen-differential — native-code differential: emit every
@@ -98,10 +99,14 @@ trace-smoke:
 # Fuzz smoke: the whole pipeline (parse → analyze → re-analyze
 # annotated output under a step budget and deadline), then execution,
 # tree vs VM, with every fuzzed function compared against the tree
-# oracle. -fuzz accepts one package per run.
+# oracle, then the simplifier (cached vs uncached, idempotence, memo
+# keys and cap verdicts against the reference renderer) and the parser
+# (print∘parse convergence). -fuzz accepts one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzVMDifferential -fuzztime 5s ./internal/interp/
+	$(GO) test -run '^$$' -fuzz FuzzSimplify -fuzztime 5s ./internal/symbolic/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/cminus/
 
 # Property-lattice soundness gate: the adversarial injectivity battery
 # (near-misses must stay unclassified), the scatter dependence and
