@@ -33,6 +33,9 @@ var vmFuzzSeeds = []string{
 	`int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); } void f(int *out) { out[0] = fib(9); }`,
 	`double g; void f(int n, double *a) { int i; g = 0.0; for (i = 0; i < n; i++) { g = g + a[i] * 0.5; } }`,
 	`void f(int n, int *a) { int i; for (i = 0; i < n; i++) { a[i] = a[i] / (i - 2); } }`,
+	// A local pointer declarator without dimensions is a 0-dim array on
+	// both engines, so indexing it fails the same way.
+	`void f(int *p) { int *q; q[0] = 1; }`,
 }
 
 // vmFuzzBudget bounds a VM run so fuzz-generated unbounded loops (and

@@ -275,7 +275,10 @@ func (m *Machine) execStmt(s cminus.Stmt, e *env, fp *parallelize.FuncPlan) erro
 	case *cminus.DeclStmt:
 		isFloat := cminus.IsFloatType(x.Type)
 		for _, it := range x.Items {
-			if len(it.Dims) > 0 {
+			// A pointer declarator is an array, with no dimensions when
+			// none are given, as in the VM, codegen and the analysis
+			// (cminus.DeclItem).
+			if len(it.Dims) > 0 || it.PtrDeep > 0 {
 				dims := make([]int64, len(it.Dims))
 				for i, d := range it.Dims {
 					v, err := m.eval(d, e)
