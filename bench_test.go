@@ -159,11 +159,13 @@ func BenchmarkAnalysisCorpus(b *testing.B) {
 }
 
 // BenchmarkAnalyzeBatch compares the serial and concurrent batch drivers
-// over the whole 12-benchmark corpus (the compiletime experiment's
-// speedup measurement, as a testing.B benchmark). serial and parallel run
-// with the symbolic memo warm after their first iteration, as in a
-// long-lived daemon; cold empties it before every iteration, as a fresh
-// subsubcc process starts.
+// over the 15-program corpus, Table 1 plus the scatter set (the
+// compiletime experiment's speedup measurement, as a testing.B
+// benchmark). serial and parallel run with the symbolic memo warm after
+// their first iteration, as in a long-lived daemon; cold empties it
+// before every iteration, as a fresh subsubcc process starts; cacheoff
+// runs with the memo disabled (each probe still renders its key, which
+// is the structural cap check), the cost without the memo.
 func BenchmarkAnalyzeBatch(b *testing.B) {
 	srcs := corpusSources()
 	run := func(b *testing.B, workers int, cold bool) {
@@ -188,4 +190,8 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 		run(b, w, false)
 	})
 	b.Run("cold", func(b *testing.B) { run(b, 1, true) })
+	b.Run("cacheoff", func(b *testing.B) {
+		defer symbolic.SetCacheEnabled(symbolic.SetCacheEnabled(false))
+		run(b, 1, false)
+	})
 }
