@@ -6,10 +6,26 @@ import (
 	"testing"
 
 	"repro/internal/phase2"
+	"repro/internal/simcore"
 )
 
+// quietCalibration is what Calibrate(true) measures on a quiet 2-vCPU
+// linux/amd64 host (the median of five runs). The figure-shape tests run
+// the simulator on it instead of calibrating on the live host: their
+// outcome depends on the fork-join cost in work units, a ratio of two
+// timings that host load moves by 2x either way, and the Figure 17
+// counts hold only while it stays between about 100 and 1180 units, so
+// a live calibration on a busy host failed them. TestCalibrationSane and
+// TestTable1 still calibrate on the live host.
+var quietCalibration = simcore.Calibration{
+	SecondsPerUnit: 1.4e-9,
+	ForkJoinUnits:  890,
+	DispatchUnits:  17,
+}
+
+// quickHarness is a quick-mode harness on quietCalibration.
 func quickHarness() *Harness {
-	return New(io.Discard, true)
+	return &Harness{Out: io.Discard, Quick: true, Cal: quietCalibration}
 }
 
 func TestCalibrationSane(t *testing.T) {
