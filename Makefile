@@ -33,9 +33,9 @@
 #                  chaos suite, all under the race detector
 #   make incr-differential — the incremental-analysis gate: edit-script
 #                  byte-identity vs cold runs (serial and 8-worker),
-#                  callee-hash invalidation, the unit store and session
-#                  table, and the /v1/session + delta_of HTTP suites,
-#                  all under the race detector
+#                  callee-hash invalidation, the unit store, and the
+#                  daemon edit loop (resubmit an edited source to
+#                  /v1/analyze), all under the race detector
 #   make fuzz    — short fuzz session over the parser and simplifier
 #   make bench   — batch-driver, cache, and interpreter benchmarks
 #   make perfbench — the repository benchmark (perfbench/, BENCHMARK.json):
@@ -148,11 +148,11 @@ chaos-e2e:
 # Incremental-analysis gate: replaying the edit script (rename / add
 # loop / delete function / reorder) through a shared unit store must be
 # byte-identical to cold runs serially and with 8 workers; editing a
-# callee must invalidate its transitive callers; the session table and
-# /v1/session + delta_of endpoints must hold their bounds — all under
-# the race detector.
+# callee must invalidate its transitive callers; resubmitting an edited
+# source to the daemon must recompute only the edited function and
+# answer with a cold server's bytes — all under the race detector.
 incr-differential:
-	$(GO) test -race -run 'TestIncr|TestSession|TestDelta' \
+	$(GO) test -race -run 'TestIncr' \
 		./internal/incr/ ./internal/core/ ./internal/server/
 
 check: fmt vet build test race benchsmoke vm-differential codegen-differential serve-smoke trace-smoke fuzz-smoke property-soundness fault-e2e chaos-e2e incr-differential

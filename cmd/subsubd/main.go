@@ -10,18 +10,14 @@
 //
 //	subsubd [-addr :8723] [-workers N] [-queue N] [-analysis-workers N]
 //	        [-cache-entries N] [-cache-bytes N] [-timeout D] [-budget N]
-//	        [-drain D] [-flight N] [-admin addr]
-//	        [-incr-entries N] [-sessions N] [-session-ttl D] [-recent-requests N]
+//	        [-drain D] [-flight N] [-admin addr] [-incr-entries N]
 //	        [-node name -peers name=url,name=url] [-store-dir dir]
 //
 // Incremental mode (on by default): every analysis runs over a
-// process-level function-granular unit store (internal/incr), so
-// resubmitting a slightly-edited source re-analyzes only the dirty
-// functions. POST /v1/analyze accepts "delta_of": "<request-id>" to
-// inherit a recent request's options, and POST /v1/session opens a
-// long-lived session (patch state, re-analyze per keystroke) bounded by
-// -sessions and expired after -session-ttl idle. -incr-entries -1
-// disables the unit store; -recent-requests -1 disables delta mode.
+// process-level function-granular unit store (internal/incr), so an
+// edit is one more POST /v1/analyze of the edited source, and only the
+// dirty functions re-analyze. -incr-entries bounds the store; -1
+// disables it.
 //
 // GET /healthz is the liveness probe (always 200 while the process
 // serves, reporting the build version); GET /readyz is the readiness
@@ -93,9 +89,6 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	flight := flag.Int("flight", 32, "request traces retained for /debug/traces (negative: disable tracing)")
 	incrEntries := flag.Int("incr-entries", 0, "max per-function units in the incremental analysis store (0: default 4096; negative: disable incremental reuse)")
-	sessions := flag.Int("sessions", 0, "max live /v1/session sessions, LRU-evicted beyond this (0: default 256)")
-	sessionTTL := flag.Duration("session-ttl", 0, "session idle expiry (0: default 10m)")
-	recentReqs := flag.Int("recent-requests", 0, "request IDs retained for /v1/analyze delta_of (0: default 1024; negative: disable delta mode)")
 	admin := flag.String("admin", "", "admin listen address exposing net/http/pprof (e.g. 127.0.0.1:8724; empty: disabled)")
 	node := flag.String("node", "", "this node's fleet name (required with -peers)")
 	peersFlag := flag.String("peers", "", "comma-separated fleet peers as name=baseURL (e.g. b=http://10.0.0.2:8723,c=http://10.0.0.3:8723)")
@@ -127,11 +120,8 @@ func main() {
 			}
 			return *flight
 		}(),
-		IncrEntries:    *incrEntries,
-		MaxSessions:    *sessions,
-		SessionTTL:     *sessionTTL,
-		RecentRequests: *recentReqs,
-		Logf:           log.Printf,
+		IncrEntries: *incrEntries,
+		Logf:        log.Printf,
 	}
 
 	var st *store.Store
@@ -230,12 +220,6 @@ func main() {
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		log.Fatalf("subsubd: drain: %v", err)
-	}
-	// Sessions close after the listener has drained: a session analyze
-	// that was in flight at SIGTERM still completes (serveAnalyze holds
-	// the state copy), and SetDraining already refuses new sessions.
-	if n := handler.CloseSessions(); n > 0 {
-		log.Printf("subsubd closed %d live sessions", n)
 	}
 	if st != nil {
 		if err := st.Close(); err != nil {
@@ -354,52 +338,6 @@ func runSelfcheck(handler *server.Server, reqPath string) error {
 		return fmt.Errorf("cache replay is not byte-identical")
 	}
 
-	// Session round-trip: create a session holding the same request,
-	// analyze through it (must replay the cached bytes), and close it.
-	resp3, err := http.Post(base+"/v1/session", "application/json", bytes.NewReader(reqBody))
-	if err != nil {
-		return err
-	}
-	sessBody, err := io.ReadAll(resp3.Body)
-	resp3.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp3.StatusCode != http.StatusCreated {
-		return fmt.Errorf("session create: %s: %s", resp3.Status, sessBody)
-	}
-	var sess struct {
-		Session string `json:"session"`
-	}
-	if err := json.Unmarshal(sessBody, &sess); err != nil || sess.Session == "" {
-		return fmt.Errorf("session create: bad response %q: %v", sessBody, err)
-	}
-	resp4, err := http.Post(base+"/v1/session/"+sess.Session+"/analyze", "application/json", nil)
-	if err != nil {
-		return err
-	}
-	body4, err := io.ReadAll(resp4.Body)
-	resp4.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp4.StatusCode != http.StatusOK {
-		return fmt.Errorf("session analyze: %s: %s", resp4.Status, body4)
-	}
-	if !bytes.Equal(body, body4) {
-		return fmt.Errorf("session analyze is not byte-identical to /v1/analyze")
-	}
-	closeReq, _ := http.NewRequest(http.MethodDelete, base+"/v1/session/"+sess.Session, nil)
-	resp5, err := http.DefaultClient.Do(closeReq)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp5.Body)
-	resp5.Body.Close()
-	if resp5.StatusCode != http.StatusOK {
-		return fmt.Errorf("session close: %s", resp5.Status)
-	}
-
 	// Observability endpoints.
 	get := func(path string) (string, error) {
 		resp, err := http.Get(base + path)
@@ -421,10 +359,9 @@ func runSelfcheck(handler *server.Server, reqPath string) error {
 		return err
 	}
 	for _, want := range []string{
-		// 2 hits: the replayed /v1/analyze plus the session analyze.
-		"subsubd_cache_hits_total 2", "subsubd_analyses_total 1",
+		"subsubd_cache_hits_total 1", "subsubd_analyses_total 1",
 		"subsubd_stage_seconds_bucket{stage=\"phase1\"", "subsubd_goroutines",
-		"subsubd_incr_func_misses_total", "subsubd_incr_sessions_created_total 1",
+		"subsubd_incr_func_misses_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			return fmt.Errorf("/metrics missing %q", want)

@@ -24,8 +24,9 @@
 // cold run uses (sorted function names for properties, source order for
 // nests), so the incremental result is byte-identical to a cold run.
 //
-// The package also provides the bounded TTL session table behind the
-// daemon's /v1/session API (see internal/server).
+// The daemon (internal/server) shares one Store across every request, so
+// an edit needs no API of its own: a client POSTs the edited source to
+// /v1/analyze and only the dirty functions recompute.
 package incr
 
 import (
@@ -59,7 +60,7 @@ type funcCounter struct {
 // Store is a bounded, concurrency-safe LRU of content-addressed
 // per-function analysis units. One store is shared by every analysis the
 // owner runs (a daemon process, a CLI batch), so identical functions
-// reuse across requests, sessions and sources. It implements
+// reuse across requests and sources. It implements
 // parallelize.FuncCache.
 type Store struct {
 	mu  sync.Mutex

@@ -1,13 +1,12 @@
 package incr
 
-// Unit tests for the three pieces this package exports: the bounded LRU
-// unit store (and the fixed-width stats table subsubcc prints), the
+// Unit tests for the two pieces this package exports: the bounded LRU
+// unit store (and the fixed-width stats table subsubcc prints) and the
 // content-addressed unit keys (callee-closure and label-shift
-// soundness), and the bounded TTL session table.
+// soundness).
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/cminus"
 	"repro/internal/phase2"
@@ -172,84 +171,4 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
-}
-
-func TestSessionTTLExpiry(t *testing.T) {
-	tbl := NewSessions(4, time.Minute)
-	now := time.Unix(1000, 0)
-	tbl.SetClock(func() time.Time { return now })
-
-	sn := tbl.Create(nil)
-	if _, err := tbl.Get(sn.ID); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(2 * time.Minute)
-	if _, err := tbl.Get(sn.ID); err != ErrNoSession {
-		t.Fatalf("expired session Get = %v, want ErrNoSession", err)
-	}
-	st := tbl.Stats()
-	if st.Expired != 1 || st.Open != 0 {
-		t.Errorf("stats = %+v, want Expired 1, Open 0", st)
-	}
-}
-
-func TestSessionGetRefreshesTTL(t *testing.T) {
-	tbl := NewSessions(4, time.Minute)
-	now := time.Unix(1000, 0)
-	tbl.SetClock(func() time.Time { return now })
-
-	sn := tbl.Create(nil)
-	for i := 0; i < 3; i++ {
-		now = now.Add(45 * time.Second) // past half the TTL, under all of it
-		if _, err := tbl.Get(sn.ID); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-}
-
-func TestSessionBoundEviction(t *testing.T) {
-	tbl := NewSessions(2, time.Hour)
-	a := tbl.Create("a")
-	b := tbl.Create("b")
-	c := tbl.Create("c") // evicts a (LRU)
-	if tbl.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tbl.Len())
-	}
-	if _, err := tbl.Get(a.ID); err != ErrNoSession {
-		t.Error("oldest session should have been evicted at the bound")
-	}
-	for _, sn := range []*Session{b, c} {
-		if _, err := tbl.Get(sn.ID); err != nil {
-			t.Errorf("session %s should be live: %v", sn.ID, err)
-		}
-	}
-	if ev := tbl.Stats().Evicted; ev != 1 {
-		t.Errorf("Evicted = %d, want 1", ev)
-	}
-}
-
-func TestSessionUpdateAndClose(t *testing.T) {
-	tbl := NewSessions(0, 0)
-	sn := tbl.Create("v1")
-	if err := tbl.Update(sn.ID, func(s *Session) { s.State = "v2"; s.Analyses++ }); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tbl.Get(sn.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != "v2" || got.Analyses != 1 {
-		t.Errorf("session = %+v, want State v2, Analyses 1", got)
-	}
-	if err := tbl.Close(sn.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Close(sn.ID); err != ErrNoSession {
-		t.Error("double close should report ErrNoSession")
-	}
-	tbl.Create("x")
-	tbl.Create("y")
-	if n := tbl.CloseAll(); n != 2 {
-		t.Errorf("CloseAll = %d, want 2", n)
-	}
 }

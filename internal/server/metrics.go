@@ -281,11 +281,7 @@ type metrics struct {
 	// failures degraded to local compute.
 	peerFills atomic.Int64 // misses filled from the owning peer
 	fallbacks atomic.Int64 // peer-fill failures degraded to local analysis
-	// Incremental-serving counters: delta requests resolved against the
-	// recent-request table (unit-store reuse counters live on the store).
-	deltaRequests atomic.Int64 // /v1/analyze requests that set delta_of
-	deltaMisses   atomic.Int64 // delta requests naming an unknown/expired ID
-	latency       histogram
+	latency   histogram
 }
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -368,8 +364,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 		writeGauge(w, "subsubd_store_bytes", "Bytes currently in the disk store.", float64(st.Bytes))
 	}
 
-	// Function-granular incremental reuse (PR 10): the unit store under
-	// every analysis, the session table, and the delta-request counters.
+	// Function-granular incremental reuse: the unit store under every
+	// analysis.
 	if s.incr != nil {
 		ist := s.incr.Stats()
 		writeCounter(w, "subsubd_incr_func_hits_total", "Per-function Pass-1 unit cache hits.", ist.FuncHits)
@@ -379,13 +375,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		writeCounter(w, "subsubd_incr_evictions_total", "Incremental unit-store LRU evictions.", ist.Evictions)
 		writeGauge(w, "subsubd_incr_units", "Per-function units currently cached.", float64(ist.Units))
 	}
-	sst := s.sessions.Stats()
-	writeGauge(w, "subsubd_incr_sessions", "Live /v1/session sessions.", float64(sst.Open))
-	writeCounter(w, "subsubd_incr_sessions_created_total", "Sessions created.", sst.Created)
-	writeCounter(w, "subsubd_incr_session_evictions_total", "Sessions LRU-evicted at the session bound.", sst.Evicted)
-	writeCounter(w, "subsubd_incr_session_expirations_total", "Sessions expired by the idle TTL.", sst.Expired)
-	writeCounter(w, "subsubd_delta_requests_total", "Analyze requests that set delta_of.", m.deltaRequests.Load())
-	writeCounter(w, "subsubd_delta_misses_total", "Delta requests naming an unknown or expired request ID.", m.deltaMisses.Load())
 
 	cs := s.cache.stats()
 	writeCounter(w, "subsubd_cache_hits_total", "Content-addressed result cache hits.", cs.Hits)
