@@ -14,7 +14,8 @@
 // latency percentiles, cache hit rate, and fallback rate to
 // -serve-json (default BENCH_serve.json). The incr experiment measures
 // cold vs warm re-analysis latency with the function-granular unit
-// store (1 edited function of N) and writes the reuse speedup to
+// store (1 edited function of N), in process and as a POST of the
+// edited source to an in-process subsubd, and writes the rows to
 // -incr-json (default BENCH_incr.json).
 package main
 
