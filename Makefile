@@ -141,7 +141,7 @@ codegen-differential:
 # crashed and entries corrupted — with zero client-visible errors and
 # byte-identity against a standalone node, all under the race detector.
 chaos-e2e:
-	$(GO) test -race -run 'TestRing|TestBreaker|TestFill|TestProbe|TestStop|TestCluster|TestChaos|TestDrain' \
+	$(GO) test -race -run 'TestRing|TestBreaker|TestFill|TestProbe|TestStop|TestChaos|TestDrain' \
 		./internal/cluster/ ./internal/server/
 	$(GO) test -race ./internal/store/
 

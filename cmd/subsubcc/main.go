@@ -26,7 +26,10 @@
 // store (internal/incr) and prints a per-function analysis/plan
 // hit-miss table to stderr after the run, so reuse across the batch
 // (identical functions appearing in several files) is observable from
-// the CLI. The analysis output is byte-identical with or without it.
+// the CLI. Files are analyzed concurrently, so two copies of a function
+// can both miss before either stores; -workers 1 makes the table
+// deterministic. The analysis output is byte-identical with or without
+// it.
 //
 // -trace records the whole batch under the pipeline trace recorder and
 // writes Chrome trace-event JSON to the given file — load it in
@@ -119,7 +122,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON profile of the analysis pipeline to this file")
 	engine := flag.String("engine", "", "interpreter smoke: compile each analyzed file for this engine ("+strings.Join(interp.Engines(), ", ")+"; vm is the default interpreter, tree the oracle) and run its zero-argument functions; empty skips")
 	emitDir := flag.String("emit", "", "transpile each analyzed file to a runnable parallel Go main package under this directory (refused if any file has analysis errors)")
-	incrStats := flag.Bool("incr-stats", false, "run the batch over a function-granular unit store and print per-function hit/miss counts to stderr (duplicate functions across files reuse each other's analyses)")
+	incrStats := flag.Bool("incr-stats", false, "run the batch over a function-granular unit store and print per-function hit/miss counts to stderr (duplicate functions across files reuse each other's analyses; with -workers above 1, copies analyzed concurrently can all miss before one stores)")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: subsubcc [flags] file.c [file2.c ...]\n")
@@ -158,9 +161,9 @@ func main() {
 	if *tracePath != "" {
 		opt.Trace = trace.NewRecorder()
 	}
-	var units *incr.Store
+	var units *incr.Tally
 	if *incrStats {
-		units = incr.NewStore(0)
+		units = incr.NewTally(incr.NewStore(0))
 		opt.Incremental = units
 	}
 

@@ -13,8 +13,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/corpus"
 	"repro/internal/kernels"
+	"repro/internal/phase2"
 	"repro/internal/sched"
-	"repro/internal/simcore"
 	"repro/internal/sparse"
 )
 
@@ -39,13 +39,10 @@ func main() {
 	}
 
 	fmt.Println("\ncalibrated 4/8/16-core simulation (Figure 16 reproduction):")
-	h := bench.New(os.Stdout, true)
-	rows := h.Fig16()
-	_ = rows
+	bench.New(os.Stdout, true).Fig16()
 
 	// The analysis side: the plan that justifies the parallel column loop.
-	plan := corpus.PlanFor(corpus.SDDMM, 2) // LevelNew
+	plan := corpus.PlanFor(corpus.SDDMM, phase2.LevelNew)
 	fmt.Println("\nplan summary:")
 	fmt.Print(plan.Summary())
-	_ = simcore.SerialTime
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/phase2"
+	"repro/internal/kernels"
 	"repro/internal/simcore"
 )
 
@@ -228,7 +228,56 @@ func TestAchievedReadFromPlans(t *testing.T) {
 	if got := withoutLevel("UA(transf)"); got.String() != "none" {
 		t.Errorf("UA without-level = %s", got)
 	}
-	b := quickHarness()
-	_ = b
-	_ = phase2.LevelNew
+}
+
+// TestInnerParallelAnomaly reproduces the Figure 13 anomaly mechanism in
+// the inner-loop model: parallelizing many small inner loops is slower
+// than serial, while outer parallelization scales.
+func TestInnerParallelAnomaly(t *testing.T) {
+	m := simcore.Machine{Cores: 8, ForkJoin: 500}
+	iters := make([]kernels.OuterIter, 1000)
+	costs := make([]float64, len(iters))
+	for i := range iters {
+		// 30 units of inner work over 30 trips per outer iteration.
+		iters[i] = kernels.OuterIter{Regions: []kernels.Region{{Units: 30, Trips: 30}}}
+		costs[i] = iters[i].Total()
+	}
+	serial := simcore.SerialTime(costs)
+	innerPar := innerParallelTime(m, iters, 0)
+	outerPar := m.StaticTime(costs)
+	if innerPar <= serial {
+		t.Errorf("inner-parallel should be slower than serial: %g vs %g", innerPar, serial)
+	}
+	if outerPar >= serial {
+		t.Errorf("outer-parallel should beat serial: %g vs %g", outerPar, serial)
+	}
+	if gap := innerPar / outerPar; gap < 10 {
+		t.Errorf("expected an order-of-magnitude gap, got %.1fx", gap)
+	}
+}
+
+// TestInnerParallelTimeCases pins the inner-loop model's per-region
+// arithmetic: a region forks only as many cores as it has trips, a
+// one-trip region runs serially without a fork-join, and memory-bound
+// work scales only up to bandwidth saturation.
+func TestInnerParallelTimeCases(t *testing.T) {
+	m := simcore.Machine{Cores: 8, ForkJoin: 10, MemSat: 2}
+	cases := []struct {
+		name    string
+		iter    kernels.OuterIter
+		memFrac float64
+		want    float64
+	}{
+		// 3 trips on 8 cores: 30 units over 3 cores, plus one fork-join.
+		{"fewer trips than cores", kernels.OuterIter{Regions: []kernels.Region{{Units: 30, Trips: 3}}}, 0, 10 + 30.0/3},
+		// Serial prefix plus the region's full work, no fork-join.
+		{"one trip", kernels.OuterIter{Serial: 5, Regions: []kernels.Region{{Units: 30, Trips: 1}}}, 0, 5 + 30},
+		// All work memory-bound: 80 units over MemSat=2, not 8 cores.
+		{"memory bound", kernels.OuterIter{Regions: []kernels.Region{{Units: 80, Trips: 100}}}, 1, 10 + 80.0/2},
+	}
+	for _, c := range cases {
+		if got := innerParallelTime(m, []kernels.OuterIter{c.iter}, c.memFrac); got != c.want {
+			t.Errorf("%s: innerParallelTime = %g, want %g", c.name, got, c.want)
+		}
+	}
 }

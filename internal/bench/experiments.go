@@ -9,7 +9,6 @@ import (
 	"repro/internal/simcore"
 
 	"repro/internal/kernels"
-	"repro/internal/sparse"
 )
 
 // Result rows are exposed so tests and the benchmark harness can assert
@@ -304,9 +303,4 @@ func relAbs(a, b float64) float64 {
 		return d
 	}
 	return d / scale
-}
-
-// QuickDataset builds a small dataset for tests.
-func QuickDataset() sparse.Dataset {
-	return sparse.Dataset{Name: "quick", Rows: 500, Cols: 500, MeanNNZ: 8, Shape: sparse.Skewed, EmptyFrac: 0.2, Seed: 77}
 }

@@ -174,10 +174,6 @@ func (g *Graph) addStmt(s cminus.Stmt, in []*exitPoint) ([]*exitPoint, error) {
 	return in, nil
 }
 
-// TopoOrder returns the nodes in topological order. Construction order is
-// topological by design; this validates the invariant in debug scenarios.
-func (g *Graph) TopoOrder() []*Node { return g.Nodes }
-
 // String renders the CFG for debugging.
 func (g *Graph) String() string {
 	var b strings.Builder

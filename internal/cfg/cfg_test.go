@@ -69,6 +69,8 @@ void f(int npts, double *xdos, double t, double width, int *ind) {
 	}
 }
 
+// TestTopoOrderIsForward: g.Nodes, the order Phase 1 walks, is
+// topological — every edge points to a later node.
 func TestTopoOrderIsForward(t *testing.T) {
 	src := `
 void f(int n, int *a, int *b) {

@@ -35,8 +35,8 @@ void f(int n, int *a) {
 			t.Errorf("CFG rendering missing %q:\n%s", want, out)
 		}
 	}
-	if g.TopoOrder()[0] != g.Entry {
-		t.Error("topo order starts at entry")
+	if g.Nodes[0] != g.Entry {
+		t.Error("node order starts at entry")
 	}
 }
 

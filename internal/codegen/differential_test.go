@@ -1,7 +1,10 @@
 package codegen
 
 import (
+	"fmt"
+	"math"
 	"os/exec"
+	"sort"
 	"strings"
 	"testing"
 
@@ -22,6 +25,50 @@ func sanitizeModule(name string) string {
 		}
 	}
 	return strings.Trim(b.String(), "-")
+}
+
+// DiffArrays compares a native end state against a reference workload
+// bit for bit and returns a description of the first mismatch, or "".
+func DiffArrays(ref map[string]*interp.Array, got map[string]*interp.Array) string {
+	names := make([]string, 0, len(ref))
+	for name := range ref {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		want, have := ref[name], got[name]
+		if have == nil {
+			return fmt.Sprintf("array %s missing from native output", name)
+		}
+		if want.Float != have.Float {
+			return fmt.Sprintf("array %s: element type mismatch", name)
+		}
+		if want.Float {
+			if len(want.Flts) != len(have.Flts) {
+				return fmt.Sprintf("array %s: length %d vs %d", name, len(want.Flts), len(have.Flts))
+			}
+			for i := range want.Flts {
+				if math.Float64bits(want.Flts[i]) != math.Float64bits(have.Flts[i]) {
+					return fmt.Sprintf("array %s[%d]: %v (%#x) vs %v (%#x)", name, i,
+						want.Flts[i], math.Float64bits(want.Flts[i]),
+						have.Flts[i], math.Float64bits(have.Flts[i]))
+				}
+			}
+			continue
+		}
+		if len(want.Ints) != len(have.Ints) {
+			return fmt.Sprintf("array %s: length %d vs %d", name, len(want.Ints), len(have.Ints))
+		}
+		for i := range want.Ints {
+			if want.Ints[i] != have.Ints[i] {
+				return fmt.Sprintf("array %s[%d]: %d vs %d", name, i, want.Ints[i], have.Ints[i])
+			}
+		}
+	}
+	if len(got) != len(ref) {
+		return fmt.Sprintf("native output has %d arrays, reference has %d", len(got), len(ref))
+	}
+	return ""
 }
 
 // vmOracle runs the benchmark's workload on the bytecode VM and returns

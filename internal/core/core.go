@@ -90,8 +90,10 @@ type Options struct {
 	// modulo budget accounting: a warm run charges fewer steps, so a
 	// budget tight enough to abort a cold run may pass warm. Budget and
 	// cancellation errors are never cached, matching the caching
-	// convention above.
-	Incremental *incr.Store
+	// convention above. The cache is an *incr.Store, or an *incr.Tally
+	// over one to count reuse per function; leave the field nil, not a
+	// nil store, to disable reuse.
+	Incremental parallelize.FuncCache
 }
 
 // Result is a completed analysis of one program.

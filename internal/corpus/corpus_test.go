@@ -85,7 +85,7 @@ func TestSubscriptPropertiesRecorded(t *testing.T) {
 	for name, arr := range cases {
 		b := ByName(name)
 		plan := PlanFor(b, phase2.LevelNew)
-		if plan.Props.Best(arr) == nil {
+		if plan.Props.BestMonotone(arr) == nil {
 			t.Errorf("%s: missing property for %s", name, arr)
 		}
 	}

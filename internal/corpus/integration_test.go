@@ -166,7 +166,7 @@ void fill(int n, int esize, int a[][16]) {
 	dict := ranges.New()
 	dict.Set("esize", symbolic.One, nil)
 	plan := parallelize.Run(prog, phase2.LevelNew, &parallelize.Options{Assume: dict})
-	p := plan.Props.Best("a")
+	p := plan.Props.BestMonotone("a")
 	if p == nil {
 		t.Fatalf("no property for parametric multi-dim:\n%s", plan.Summary())
 	}

@@ -51,31 +51,29 @@ type entry struct {
 	val any
 }
 
-// funcCounter tracks reuse per function name, for the CLI stats table.
-type funcCounter struct {
-	AnalysisHits, AnalysisMisses int64
-	PlanHits, PlanMisses         int64
-}
-
 // Store is a bounded, concurrency-safe LRU of content-addressed
 // per-function analysis units. One store is shared by every analysis the
 // owner runs (a daemon process, a CLI batch), so identical functions
 // reuse across requests and sources. It implements
-// parallelize.FuncCache.
+// parallelize.FuncCache. It keeps units and whole-store totals only and
+// ignores the function names it is passed, so a daemon's store stays
+// within its unit bound however many distinct names clients send; a
+// Tally counts per function for one batch.
 type Store struct {
 	mu  sync.Mutex
 	max int
 	ll  *list.List // front = most recently used
 	m   map[string]*list.Element
 
-	perFunc map[string]*funcCounter
-
 	funcHits, funcMisses atomic.Int64
 	planHits, planMisses atomic.Int64
 	evictions            atomic.Int64
 }
 
-var _ parallelize.FuncCache = (*Store)(nil)
+var (
+	_ parallelize.FuncCache = (*Store)(nil)
+	_ parallelize.FuncCache = (*Tally)(nil)
+)
 
 // NewStore returns a unit store bounded to maxEntries cached units
 // (Pass-1 analyses and Pass-2 plan sets count separately). maxEntries
@@ -85,10 +83,9 @@ func NewStore(maxEntries int) *Store {
 		maxEntries = DefaultEntries
 	}
 	return &Store{
-		max:     maxEntries,
-		ll:      list.New(),
-		m:       map[string]*list.Element{},
-		perFunc: map[string]*funcCounter{},
+		max: maxEntries,
+		ll:  list.New(),
+		m:   map[string]*list.Element{},
 	}
 }
 
@@ -127,30 +124,10 @@ func (s *Store) put(key string, val any) {
 	}
 }
 
-// counter returns the per-function counter cell for fn.
-func (s *Store) counter(fn string) *funcCounter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.perFunc[fn]
-	if c == nil {
-		c = &funcCounter{}
-		s.perFunc[fn] = c
-	}
-	return c
-}
-
 // GetAnalysis returns the cached Pass-1 analysis for a unit key. The
 // returned analysis is shared and must be treated as immutable.
 func (s *Store) GetAnalysis(key, fn string) (*phase2.FuncAnalysis, bool) {
 	v, ok := s.get(key)
-	c := s.counter(fn)
-	s.mu.Lock()
-	if ok {
-		c.AnalysisHits++
-	} else {
-		c.AnalysisMisses++
-	}
-	s.mu.Unlock()
 	if !ok {
 		s.funcMisses.Add(1)
 		return nil, false
@@ -167,14 +144,6 @@ func (s *Store) PutAnalysis(key, fn string, fa *phase2.FuncAnalysis) {
 // GetPlans returns the cached Pass-2 loop plans for a plan key.
 func (s *Store) GetPlans(key, fn string) ([]parallelize.LoopPlan, bool) {
 	v, ok := s.get(key)
-	c := s.counter(fn)
-	s.mu.Lock()
-	if ok {
-		c.PlanHits++
-	} else {
-		c.PlanMisses++
-	}
-	s.mu.Unlock()
 	if !ok {
 		s.planMisses.Add(1)
 		return nil, false
@@ -222,42 +191,85 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// FuncStat is one function's cumulative reuse counters.
-type FuncStat struct {
-	Name                         string
-	AnalysisHits, AnalysisMisses int64
-	PlanHits, PlanMisses         int64
+// Tally counts one batch's unit-store consultations per function name,
+// for the table `subsubcc -incr-stats` prints. It wraps the batch's Store
+// and implements parallelize.FuncCache, so the rows live only as long as
+// the batch does.
+type Tally struct {
+	*Store
+
+	mu   sync.Mutex
+	rows map[string]*funcCounter
 }
 
-// FuncStats returns the per-function reuse counters sorted by name.
-func (s *Store) FuncStats() []FuncStat {
-	s.mu.Lock()
-	out := make([]FuncStat, 0, len(s.perFunc))
-	for name, c := range s.perFunc {
-		out = append(out, FuncStat{
-			Name:         name,
-			AnalysisHits: c.AnalysisHits, AnalysisMisses: c.AnalysisMisses,
-			PlanHits: c.PlanHits, PlanMisses: c.PlanMisses,
-		})
+// funcCounter is one function's row of hit/miss counts.
+type funcCounter struct {
+	analysisHits, analysisMisses int64
+	planHits, planMisses         int64
+}
+
+// NewTally returns an empty tally over s.
+func NewTally(s *Store) *Tally {
+	return &Tally{Store: s, rows: map[string]*funcCounter{}}
+}
+
+// row returns fn's counters; the caller holds t.mu.
+func (t *Tally) row(fn string) *funcCounter {
+	c := t.rows[fn]
+	if c == nil {
+		c = &funcCounter{}
+		t.rows[fn] = c
 	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return c
 }
 
-// StatsTable renders the per-function reuse counters as the fixed-width
-// table `subsubcc -incr-stats` prints (golden-tested, so keep the format
-// stable).
-func (s *Store) StatsTable() string {
+// GetAnalysis consults the store and counts the outcome against fn.
+func (t *Tally) GetAnalysis(key, fn string) (*phase2.FuncAnalysis, bool) {
+	fa, ok := t.Store.GetAnalysis(key, fn)
+	t.mu.Lock()
+	if c := t.row(fn); ok {
+		c.analysisHits++
+	} else {
+		c.analysisMisses++
+	}
+	t.mu.Unlock()
+	return fa, ok
+}
+
+// GetPlans consults the store and counts the outcome against fn.
+func (t *Tally) GetPlans(key, fn string) ([]parallelize.LoopPlan, bool) {
+	plans, ok := t.Store.GetPlans(key, fn)
+	t.mu.Lock()
+	if c := t.row(fn); ok {
+		c.planHits++
+	} else {
+		c.planMisses++
+	}
+	t.mu.Unlock()
+	return plans, ok
+}
+
+// StatsTable renders the per-function rows, sorted by name, and the
+// store's totals as a fixed-width table (golden-tested, so keep the
+// format stable).
+func (t *Tally) StatsTable() string {
 	var b strings.Builder
 	b.WriteString("incremental reuse (per-function units):\n")
 	fmt.Fprintf(&b, "  %-24s %14s %14s\n", "function", "analysis h/m", "plan h/m")
-	for _, fs := range s.FuncStats() {
-		fmt.Fprintf(&b, "  %-24s %14s %14s\n", fs.Name,
-			fmt.Sprintf("%d/%d", fs.AnalysisHits, fs.AnalysisMisses),
-			fmt.Sprintf("%d/%d", fs.PlanHits, fs.PlanMisses))
+	t.mu.Lock()
+	names := make([]string, 0, len(t.rows))
+	for name := range t.rows {
+		names = append(names, name)
 	}
-	st := s.Stats()
+	sort.Strings(names)
+	for _, name := range names {
+		c := t.rows[name]
+		fmt.Fprintf(&b, "  %-24s %14s %14s\n", name,
+			fmt.Sprintf("%d/%d", c.analysisHits, c.analysisMisses),
+			fmt.Sprintf("%d/%d", c.planHits, c.planMisses))
+	}
+	t.mu.Unlock()
+	st := t.Stats()
 	fmt.Fprintf(&b, "totals: analysis %d/%d, plans %d/%d, units %d, evictions %d\n",
 		st.FuncHits, st.FuncMisses, st.PlanHits, st.PlanMisses, st.Units, st.Evictions)
 	return b.String()

@@ -1,11 +1,13 @@
 package incr
 
-// Unit tests for the two pieces this package exports: the bounded LRU
-// unit store (and the fixed-width stats table subsubcc prints) and the
-// content-addressed unit keys (callee-closure and label-shift
-// soundness).
+// Unit tests for the pieces this package exports: the bounded LRU unit
+// store, the per-function tally (and the fixed-width stats table
+// subsubcc prints) and the content-addressed unit keys (callee-closure
+// and label-shift soundness).
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cminus"
@@ -52,7 +54,7 @@ func TestIncrStoreRePutRefreshes(t *testing.T) {
 }
 
 func TestIncrStatsTableGolden(t *testing.T) {
-	s := NewStore(0)
+	s := NewTally(NewStore(0))
 	fa := &phase2.FuncAnalysis{}
 	s.GetAnalysis("k1", "alpha") // miss
 	s.PutAnalysis("k1", "alpha", fa)
@@ -69,6 +71,34 @@ func TestIncrStatsTableGolden(t *testing.T) {
 		"totals: analysis 1/2, plans 1/1, units 2, evictions 0\n"
 	if got := s.StatsTable(); got != want {
 		t.Errorf("StatsTable mismatch:\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestIncrStoreBoundedByUnits: a store retains nothing per function
+// name, so 500 distinct names through an 8-unit store leave no map in it
+// holding more than 8 entries — a long-lived daemon does not grow with
+// the names its clients send.
+func TestIncrStoreBoundedByUnits(t *testing.T) {
+	s := NewStore(8)
+	fa := &phase2.FuncAnalysis{}
+	for i := 0; i < 500; i++ {
+		fn := fmt.Sprintf("f%d", i)
+		if _, ok := s.GetAnalysis("a/"+fn, fn); !ok {
+			s.PutAnalysis("a/"+fn, fn, fa)
+		}
+		if _, ok := s.GetPlans("p/"+fn, fn); !ok {
+			s.PutPlans("p/"+fn, fn, nil)
+		}
+	}
+	if s.Len() != 8 {
+		t.Errorf("Len = %d, want 8", s.Len())
+	}
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Map && f.Len() > 8 {
+			t.Errorf("Store.%s holds %d entries after 500 distinct functions, want <= 8",
+				v.Type().Field(i).Name, f.Len())
+		}
 	}
 }
 

@@ -108,7 +108,7 @@ func TestInlineEnablesIntraproceduralAnalysis(t *testing.T) {
 	prog := Expand(cminus.MustParse(appSrc), 3)
 	plan := parallelize.Run(prog, phase2.LevelNew, nil)
 	fa := plan.Funcs["driver"].Analysis
-	if fa.Props.Best("A_rownnz") == nil {
+	if fa.Props.BestMonotone("A_rownnz") == nil {
 		t.Errorf("A_rownnz property should be derived inside driver:\n%s", fa.Props)
 	}
 }

@@ -36,24 +36,6 @@ func NewAMG(grid sparse.AMGGrid) *AMG {
 	return k
 }
 
-// NewAMGFromCSR builds the kernel over an arbitrary matrix (used by
-// tests).
-func NewAMGFromCSR(name string, m *sparse.CSR) *AMG {
-	k := &AMG{dataset: name, mat: m}
-	for i := 0; i < m.Rows; i++ {
-		if m.RowNNZ(i) > 0 {
-			k.rownnz = append(k.rownnz, int32(i))
-		}
-	}
-	k.x = make([]float64, m.Cols)
-	k.y0 = make([]float64, m.Rows)
-	for i := range k.x {
-		k.x[i] = 1.0 / float64(i+1)
-	}
-	k.y = append([]float64(nil), k.y0...)
-	return k
-}
-
 // Name implements Kernel.
 func (k *AMG) Name() string { return "AMGmk" }
 

@@ -8,6 +8,23 @@ import (
 	"repro/internal/sparse"
 )
 
+// NewAMGFromCSR builds the AMG kernel over an arbitrary matrix.
+func NewAMGFromCSR(name string, m *sparse.CSR) *AMG {
+	k := &AMG{dataset: name, mat: m}
+	for i := 0; i < m.Rows; i++ {
+		if m.RowNNZ(i) > 0 {
+			k.rownnz = append(k.rownnz, int32(i))
+		}
+	}
+	k.x = make([]float64, m.Cols)
+	k.y0 = make([]float64, m.Rows)
+	for i := range k.x {
+		k.x[i] = 1.0 / float64(i+1)
+	}
+	k.y = append([]float64(nil), k.y0...)
+	return k
+}
+
 // smallSet builds scaled-down instances of all 12 kernels for testing.
 func smallSet() []Kernel {
 	tiny := sparse.Dataset{Name: "tiny", Rows: 300, Cols: 300, MeanNNZ: 8, Shape: sparse.Skewed, EmptyFrac: 0.2, Seed: 42}

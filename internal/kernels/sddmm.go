@@ -21,12 +21,6 @@ type SDDMM struct {
 	p       []float64
 }
 
-// NewSDDMM builds the kernel for one dataset.
-func NewSDDMM(d sparse.Dataset) *SDDMM {
-	m := d.BuildCSC()
-	return newSDDMMFrom(d.Name, m, SDDMMRank)
-}
-
 // NewSDDMMRank builds the kernel with an explicit rank (tests use small
 // ranks).
 func NewSDDMMRank(d sparse.Dataset, rank int) *SDDMM {

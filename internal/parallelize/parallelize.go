@@ -535,13 +535,6 @@ func (fp *FuncPlan) ChosenLabels() []string {
 	return out
 }
 
-// ParallelAt reports whether the plan parallelizes the loop with the
-// given label.
-func (fp *FuncPlan) ParallelAt(label string) bool {
-	lp := fp.Loops[label]
-	return lp != nil && lp.Chosen
-}
-
 // Summary renders a human-readable report of the plan.
 func (p *Plan) Summary() string {
 	var b strings.Builder

@@ -52,6 +52,13 @@ func kernelLoops(t *testing.T, plan *Plan) (string, string) {
 	return outer, inner
 }
 
+// chosen reports whether the plan parallelizes the loop with the given
+// label.
+func chosen(fp *FuncPlan, label string) bool {
+	lp := fp.Loops[label]
+	return lp != nil && lp.Chosen
+}
+
 // TestAMGPlanLevels reproduces the Figure 13/17 decision structure for
 // AMGmk: classical parallelizes the inner loop only, the new algorithm
 // moves parallelism to the outer loop with the run-time check.
@@ -63,22 +70,22 @@ func TestAMGPlanLevels(t *testing.T) {
 	if outer == "" {
 		t.Fatal("no outer loop in plan")
 	}
-	if classical.Funcs["kernel"].ParallelAt(outer) {
+	if chosen(classical.Funcs["kernel"], outer) {
 		t.Error("classical must not parallelize the outer loop")
 	}
-	if inner == "" || !classical.Funcs["kernel"].ParallelAt(inner) {
+	if inner == "" || !chosen(classical.Funcs["kernel"], inner) {
 		t.Error("classical should parallelize the inner reduction loop")
 	}
 
 	newAlgo := Run(prog, phase2.LevelNew, nil)
 	outer, inner = kernelLoops(t, newAlgo)
-	if !newAlgo.Funcs["kernel"].ParallelAt(outer) {
+	if !chosen(newAlgo.Funcs["kernel"], outer) {
 		lp := newAlgo.Funcs["kernel"].Loops[outer]
 		t.Fatalf("new algorithm should parallelize the outer loop: %s", lp.Decision.Reason)
 	}
 	// Once the outer loop is parallel, the inner loop is not separately
 	// chosen.
-	if inner != "" && newAlgo.Funcs["kernel"].ParallelAt(inner) {
+	if inner != "" && chosen(newAlgo.Funcs["kernel"], inner) {
 		t.Error("inner loop should not be chosen when outer is parallel")
 	}
 }

@@ -56,13 +56,6 @@ type LoopAggregate struct {
 	Aggregated map[string]symbolic.Expr
 }
 
-// Aggregate runs Algorithm 1 on the Phase-1 result of one loop. parent
-// supplies the enclosing range context; meta describes the normalized
-// loop.
-func Aggregate(level Level, meta *normalize.LoopMeta, p1 *phase1.Result, parent *ranges.Dict) *LoopAggregate {
-	return AggregateOpts(level, Opts{}, meta, p1, parent)
-}
-
 // AggregateOpts is Aggregate with ablation toggles.
 func AggregateOpts(level Level, opts Opts, meta *normalize.LoopMeta, p1 *phase1.Result, parent *ranges.Dict) *LoopAggregate {
 	n := convertCount(meta.Count)

@@ -36,7 +36,7 @@ void use(int cnt, int m_max, int *ind, double *y) {
 func TestDecreasingIntermittentProperty(t *testing.T) {
 	prog := cminus.MustParse(decreasingSrc)
 	fa := phase2.AnalyzeFunc(prog.Func("fill"), phase2.LevelNew, nil)
-	p := fa.Props.Best("ind")
+	p := fa.Props.BestMonotone("ind")
 	if p == nil {
 		t.Fatalf("no property; failures: %v", fa.Failures)
 	}
@@ -93,7 +93,7 @@ void f(int n, int *a) {
 `
 	prog := cminus.MustParse(src)
 	fa := phase2.AnalyzeFunc(prog.Func("f"), phase2.LevelNew, nil)
-	p := fa.Props.Best("a")
+	p := fa.Props.BestMonotone("a")
 	if p == nil || !p.Decreasing || !p.Strict {
 		t.Fatalf("want strictly decreasing SRA, got %v", p)
 	}

@@ -29,7 +29,7 @@ void fill(int num_rows, int *A_i, int *A_rownnz) {
 func TestExample1AMG(t *testing.T) {
 	prog := cminus.MustParse(amgFillSrc)
 	fa := AnalyzeFunc(prog.Func("fill"), LevelNew, nil)
-	p := fa.Props.Best("A_rownnz")
+	p := fa.Props.BestMonotone("A_rownnz")
 	if p == nil {
 		t.Fatalf("no property for A_rownnz; failures: %v", fa.Failures)
 	}
@@ -61,7 +61,7 @@ func TestExample1AMG(t *testing.T) {
 func TestExample1AMGBaseFails(t *testing.T) {
 	prog := cminus.MustParse(amgFillSrc)
 	fa := AnalyzeFunc(prog.Func("fill"), LevelBase, nil)
-	if p := fa.Props.Best("A_rownnz"); p != nil {
+	if p := fa.Props.Lookup("A_rownnz"); len(p) != 0 {
 		t.Errorf("Base algorithm should not determine the property, got %s", p)
 	}
 }
@@ -88,7 +88,7 @@ void fill(int nonzeros, int *col_val, int *col_ptr) {
 func TestExample2SDDMM(t *testing.T) {
 	prog := cminus.MustParse(sddmmFillSrc)
 	fa := AnalyzeFunc(prog.Func("fill"), LevelNew, nil)
-	p := fa.Props.Best("col_ptr")
+	p := fa.Props.BestMonotone("col_ptr")
 	if p == nil {
 		t.Fatalf("no property for col_ptr; failures: %v", fa.Failures)
 	}
@@ -130,7 +130,7 @@ void transf(int idel[][6][5][5], int LELT) {
 func TestExample3UA(t *testing.T) {
 	prog := cminus.MustParse(uaTransfSrc)
 	fa := AnalyzeFunc(prog.Func("transf"), LevelNew, nil)
-	p := fa.Props.Best("idel")
+	p := fa.Props.BestMonotone("idel")
 	if p == nil {
 		t.Fatalf("no property for idel; failures: %v\nloops: %v", fa.Failures, fa.Loops)
 	}
@@ -208,7 +208,7 @@ void f(int n, int m, int *a, int *c) {
 `
 	prog := cminus.MustParse(src)
 	fa := AnalyzeFunc(prog.Func("f"), LevelBase, nil)
-	p := fa.Props.Best("a")
+	p := fa.Props.BestMonotone("a")
 	if p == nil {
 		t.Fatalf("Base algorithm should handle Fig 2(a); failures: %v", fa.Failures)
 	}
@@ -234,13 +234,13 @@ void f(int n, int *a, int k) {
 	prog := cminus.MustParse(src)
 	// k's sign is unknown: no property.
 	fa := AnalyzeFunc(prog.Func("f"), LevelBase, nil)
-	if p := fa.Props.Best("a"); p != nil {
+	if p := fa.Props.Lookup("a"); len(p) != 0 {
 		t.Errorf("unknown k sign should fail, got %s", p)
 	}
 	// With the assumption k >= 1 the array is strictly monotonic.
 	assume := rangesWith("k", symbolic.One, nil)
 	fa = AnalyzeFunc(prog.Func("f"), LevelBase, assume)
-	p := fa.Props.Best("a")
+	p := fa.Props.BestMonotone("a")
 	if p == nil {
 		t.Fatalf("prefix sum with positive k should be SMA; failures: %v", fa.Failures)
 	}
@@ -276,7 +276,7 @@ void f(int n, int *a, int k) {
 		t.Errorf("aggregated p = %s, want 3*n+Λ_p", got)
 	}
 	// The array a is a strict SRA (values p, strictly increasing).
-	p := fa.Props.Best("a")
+	p := fa.Props.BestMonotone("a")
 	if p == nil || !p.Strict {
 		t.Fatalf("a should be strict SRA, got %v", p)
 	}
@@ -300,7 +300,7 @@ void f(int n, int *a, int *c) {
 `
 	prog := cminus.MustParse(src)
 	fa := AnalyzeFunc(prog.Func("f"), LevelNew, nil)
-	if p := fa.Props.Best("a"); p != nil {
+	if p := fa.Props.Lookup("a"); len(p) != 0 {
 		t.Errorf("conditional contiguous write should not be monotonic: %s", p)
 	}
 }
@@ -321,7 +321,7 @@ void f(int n, int *a, int *input) {
 `
 	prog := cminus.MustParse(src)
 	fa := AnalyzeFunc(prog.Func("f"), LevelNew, nil)
-	if p := fa.Props.Best("a"); p != nil {
+	if p := fa.Props.Lookup("a"); len(p) != 0 {
 		t.Errorf("input-dependent values should not be monotonic: %s", p)
 	}
 }
@@ -342,7 +342,7 @@ void f(int n, int *a, int *c) {
 `
 	prog := cminus.MustParse(src)
 	fa := AnalyzeFunc(prog.Func("f"), LevelNew, nil)
-	if p := fa.Props.Best("a"); p != nil {
+	if p := fa.Props.Lookup("a"); len(p) != 0 {
 		t.Errorf("decreasing counter must fail: %s", p)
 	}
 }
@@ -364,7 +364,7 @@ void f(int n, int *a, int *c, int *d) {
 `
 	prog := cminus.MustParse(src)
 	fa := AnalyzeFunc(prog.Func("f"), LevelNew, nil)
-	if p := fa.Props.Best("a"); p != nil {
+	if p := fa.Props.Lookup("a"); len(p) != 0 {
 		t.Errorf("different guard conditions must fail: %s", p)
 	}
 }
@@ -384,7 +384,7 @@ void f(int n, int flag, int *a) {
 `
 	prog := cminus.MustParse(src)
 	fa := AnalyzeFunc(prog.Func("f"), LevelNew, nil)
-	if p := fa.Props.Best("a"); p != nil {
+	if p := fa.Props.Lookup("a"); len(p) != 0 {
 		t.Errorf("loop-invariant guard must fail per Algorithm 2 line 15: %s", p)
 	}
 }
@@ -405,7 +405,7 @@ void f(int n, int a[][10]) {
 	// α=5, values 5i+[0:9]: 5+0 < 9 → rows overlap.
 	prog := cminus.MustParse(src)
 	fa := AnalyzeFunc(prog.Func("f"), LevelNew, nil)
-	if p := fa.Props.Best("a"); p != nil {
+	if p := fa.Props.Lookup("a"); len(p) != 0 {
 		t.Errorf("overlapping rows must fail LEMMA 2: %s", p)
 	}
 }
@@ -425,7 +425,7 @@ void f(int n, int a[][11]) {
 	// values 10i+[0:10]: 10+0 == 10 → MA, not SMA.
 	prog := cminus.MustParse(src)
 	fa := AnalyzeFunc(prog.Func("f"), LevelNew, nil)
-	p := fa.Props.Best("a")
+	p := fa.Props.BestMonotone("a")
 	if p == nil {
 		t.Fatalf("expected MA property; failures: %v", fa.Failures)
 	}

@@ -120,7 +120,7 @@ func TestQuickMonotonicityClaimsSound(t *testing.T) {
 		src, kind := genProgram(rng)
 		prog := cminus.MustParse(src)
 		fa := phase2.AnalyzeFunc(prog.Func("fill"), phase2.LevelNew, nil)
-		p := fa.Props.Best("a")
+		p := fa.Props.BestMonotone("a")
 		if p == nil {
 			return true // no claim, nothing to check
 		}
@@ -238,7 +238,7 @@ void use(int cnt, int m_max, int *ind, double *y) {
 `
 	prog := cminus.MustParse(src)
 	fa := phase2.AnalyzeFunc(prog.Func("fill"), phase2.LevelNew, nil)
-	if fa.Props.Best("ind") == nil {
+	if fa.Props.BestMonotone("ind") == nil {
 		t.Fatal("no property")
 	}
 	// The dependence-test side is exercised in internal/depend and the

@@ -210,22 +210,6 @@ func (db *DB) Replace(array string, props []*ArrayProperty) {
 	db.byArray[array] = props
 }
 
-// Best returns the strongest property known for an array in lattice
-// order (Rank), or nil.
-func (db *DB) Best(array string) *ArrayProperty {
-	props := db.byArray[array]
-	if len(props) == 0 {
-		return nil
-	}
-	best := props[0]
-	for _, p := range props[1:] {
-		if p.Rank() > best.Rank() {
-			best = p
-		}
-	}
-	return best
-}
-
 // BestInjective returns the strongest property that implies injectivity
 // of the array's section, or nil. Consumers disproving output/anti
 // dependences of a[p[i]] scatter writes must use this selector.

@@ -53,10 +53,10 @@ func TestDBBestPrefersStrict(t *testing.T) {
 	db := NewDB()
 	db.Add(&ArrayProperty{Array: "a", Strict: false})
 	db.Add(&ArrayProperty{Array: "a", Strict: true})
-	if p := db.Best("a"); p == nil || !p.Strict {
-		t.Error("Best should prefer the strict property")
+	if p := db.BestMonotone("a"); p == nil || !p.Strict {
+		t.Error("BestMonotone should prefer the strict property")
 	}
-	if db.Best("missing") != nil {
+	if db.BestMonotone("missing") != nil {
 		t.Error("missing array has no property")
 	}
 	if len(db.Lookup("a")) != 2 {
@@ -125,8 +125,8 @@ func TestBestSelectors(t *testing.T) {
 	if got := db.BestInjective("p"); got == nil || got.Kind != KindPermutation {
 		t.Errorf("BestInjective should prefer the permutation fact, got %v", got)
 	}
-	if got := db.Best("p"); got == nil || got.Kind != KindPermutation {
-		t.Errorf("Best should rank the permutation fact highest, got %v", got)
+	if got := db.BestMonotone("p"); got == nil || got.Kind != KindSRA {
+		t.Errorf("BestMonotone must skip the unordered permutation fact, got %v", got)
 	}
 	if db.BestInjective("missing") != nil || db.BestMonotone("missing") != nil {
 		t.Error("missing array has no facts")
@@ -143,18 +143,18 @@ func TestInvalidateAndReplace(t *testing.T) {
 	db.Add(&ArrayProperty{Array: "p", Kind: KindSRA, Strict: true})
 	db.Add(&ArrayProperty{Array: "q", Kind: KindSRA})
 	db.Invalidate("p")
-	if db.Best("p") != nil || len(db.Lookup("p")) != 0 {
+	if len(db.Lookup("p")) != 0 {
 		t.Error("Invalidate must drop all facts of the array")
 	}
-	if db.Best("q") == nil {
+	if len(db.Lookup("q")) == 0 {
 		t.Error("Invalidate must not touch other arrays")
 	}
 	db.Replace("q", []*ArrayProperty{{Array: "q", Kind: KindInjective}})
-	if got := db.Best("q"); got == nil || got.Kind != KindInjective {
+	if got := db.Lookup("q"); len(got) != 1 || got[0].Kind != KindInjective {
 		t.Errorf("Replace should substitute the fact list, got %v", got)
 	}
 	db.Replace("q", nil)
-	if db.Best("q") != nil {
+	if len(db.Lookup("q")) != 0 {
 		t.Error("Replace with an empty list invalidates")
 	}
 }

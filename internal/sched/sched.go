@@ -165,43 +165,6 @@ func ForTraced(n int, opt Options, tr *trace.Recorder, parent trace.SpanID, body
 	wg.Wait()
 }
 
-// ForChunked runs body(start, end) over contiguous ranges — useful when
-// the body wants to amortize per-iteration overhead itself.
-func ForChunked(n int, opt Options, body func(start, end int)) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	per := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		start := w * per
-		end := start + per
-		if end > n {
-			end = n
-		}
-		if start >= end {
-			break
-		}
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			body(start, end)
-		}(start, end)
-	}
-	wg.Wait()
-}
-
 // ParallelLoop is the fan-out primitive behind the interpreter engines'
 // parallel-for drivers: static contiguous ceil(n/workers) blocks (empty
 // tail blocks spawn no worker) or, with dynamicChunk > 0, workers

@@ -52,21 +52,6 @@ func TestQuickForSum(t *testing.T) {
 	}
 }
 
-func TestForChunkedCoverage(t *testing.T) {
-	n := 777
-	hits := make([]int32, n)
-	ForChunked(n, Options{Workers: 4}, func(start, end int) {
-		for i := start; i < end; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("iteration %d hit %d times", i, h)
-		}
-	}
-}
-
 func TestMeasureForkJoinPositive(t *testing.T) {
 	d := MeasureForkJoin(2, 8)
 	if d <= 0 {

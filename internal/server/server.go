@@ -400,7 +400,9 @@ func (s *Server) defaultAnalyze(ctx context.Context, req *AnalyzeRequest, tr *tr
 		Ctx:            ctx,
 		Budget:         s.cfg.MaxSteps,
 		Trace:          tr,
-		Incremental:    s.incr,
+	}
+	if s.incr != nil {
+		opt.Incremental = s.incr
 	}
 	results := core.AnalyzeBatch(sources, opt)
 	for _, br := range results {

@@ -177,48 +177,6 @@ func (m Machine) Schedule(policy sched.Policy, costs []float64, chunk int) float
 	return m.StaticTime(costs)
 }
 
-// InnerParallelTime simulates parallelizing the *inner* loop of a nest:
-// every outer iteration pays a full fork-join around its inner work, which
-// is divided across cores (the paper's explanation for the Figure 13
-// anomaly: "substantial fork-join overhead due to the creation and
-// termination of threads for each iteration of the outer loop").
-// innerCosts[i] is the total inner work of outer iteration i; innerTrips
-// is the inner iteration count (bounding achievable parallelism).
-func (m Machine) InnerParallelTime(innerCosts []float64, innerTrips []int, serialPrefix []float64) float64 {
-	var t float64
-	for i, c := range innerCosts {
-		p := m.Cores
-		if innerTrips != nil && i < len(innerTrips) && innerTrips[i] < p {
-			p = innerTrips[i]
-		}
-		if p < 1 {
-			p = 1
-		}
-		if serialPrefix != nil && i < len(serialPrefix) {
-			t += serialPrefix[i]
-		}
-		if p == 1 {
-			t += c
-			continue
-		}
-		t += m.ForkJoin + c/float64(p)
-	}
-	return t
-}
-
-// Speedup is serial/parallel.
-func Speedup(serial, parallel float64) float64 {
-	if parallel <= 0 {
-		return 0
-	}
-	return serial / parallel
-}
-
-// Efficiency is speedup divided by core count.
-func (m Machine) Efficiency(serial, parallel float64) float64 {
-	return Speedup(serial, parallel) / float64(m.Cores)
-}
-
 // Calibration converts work units to seconds and holds measured
 // overheads.
 type Calibration struct {

@@ -58,32 +58,6 @@ func TestForkJoinCharged(t *testing.T) {
 	}
 }
 
-// TestInnerParallelAnomaly reproduces the Figure 13 anomaly mechanism:
-// parallelizing small inner loops is slower than serial, while outer
-// parallelization scales.
-func TestInnerParallelAnomaly(t *testing.T) {
-	m := Machine{Cores: 8, ForkJoin: 500}
-	nOuter := 1000
-	inner := uniformCosts(nOuter, 30) // 30 units of inner work per outer iter
-	trips := make([]int, nOuter)
-	for i := range trips {
-		trips[i] = 30
-	}
-	serial := SerialTime(inner)
-	innerPar := m.InnerParallelTime(inner, trips, nil)
-	outerPar := m.StaticTime(inner)
-	if innerPar <= serial {
-		t.Errorf("inner-parallel should be slower than serial: %g vs %g", innerPar, serial)
-	}
-	if outerPar >= serial {
-		t.Errorf("outer-parallel should beat serial: %g vs %g", outerPar, serial)
-	}
-	improvement := innerPar / outerPar
-	if improvement < 10 {
-		t.Errorf("expected an order-of-magnitude gap, got %.1fx", improvement)
-	}
-}
-
 // TestQuickMakespanBounds: for any cost vector, the simulated parallel
 // time is at least max(work/P, max cost) and at most work + overheads
 // (list-scheduling bounds).
@@ -137,19 +111,6 @@ func TestQuickDynamicBeatsStaticOnSkew(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEfficiency(t *testing.T) {
-	m := Machine{Cores: 4}
-	if got := m.Efficiency(100, 25); got != 1.0 {
-		t.Errorf("perfect efficiency: %g", got)
-	}
-	if got := m.Efficiency(100, 50); got != 0.5 {
-		t.Errorf("half efficiency: %g", got)
-	}
-	if Speedup(100, 0) != 0 {
-		t.Error("zero parallel time guards")
 	}
 }
 

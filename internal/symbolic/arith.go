@@ -228,17 +228,6 @@ func TaggedParts(e Expr) []Tagged {
 	return out
 }
 
-// UntaggedParts returns the untagged alternatives of a value.
-func UntaggedParts(e Expr) []Expr {
-	var out []Expr
-	for _, alt := range alternatives(e) {
-		if _, ok := alt.(Tagged); !ok {
-			out = append(out, alt)
-		}
-	}
-	return out
-}
-
 // RangeUnion returns the smallest range covering both values, treating a
 // non-range value as the degenerate range [v:v]. Bounds that cannot be
 // compared symbolically fall back to Min/Max expressions.

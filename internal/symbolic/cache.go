@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -159,7 +158,7 @@ func ResetCache() {
 type CacheStats struct {
 	// SimplifyHits/Misses count Simplify memo lookups.
 	SimplifyHits, SimplifyMisses int64
-	// CompareHits/Misses count canonical-string lookups (Compare/Equal).
+	// CompareHits/Misses count canonical-string lookups (CanonicalString/Equal).
 	CompareHits, CompareMisses int64
 	// Evictions counts whole-shard drops across all caches.
 	Evictions int64
@@ -250,13 +249,6 @@ func CanonicalString(e Expr) string {
 	s := v.String()
 	canonCache.put(r.b, s)
 	return s
-}
-
-// Compare orders two expressions by their canonical simplified form
-// (negative, zero, positive — the usual three-way contract). Compare(a, b)
-// == 0 coincides with Equal(a, b) for non-nil arguments.
-func Compare(a, b Expr) int {
-	return strings.Compare(CanonicalString(a), CanonicalString(b))
 }
 
 // ---- structural keys ----

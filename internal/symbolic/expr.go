@@ -179,21 +179,6 @@ func (op CmpOp) Negate() CmpOp {
 	return op
 }
 
-// Flip returns the operator with swapped operands (e.g. a<b becomes b>a).
-func (op CmpOp) Flip() CmpOp {
-	switch op {
-	case OpLT:
-		return OpGT
-	case OpLE:
-		return OpGE
-	case OpGT:
-		return OpLT
-	case OpGE:
-		return OpLE
-	}
-	return op
-}
-
 // Cmp is a relational condition L op R.
 type Cmp struct {
 	Op   CmpOp

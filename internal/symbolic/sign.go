@@ -387,25 +387,6 @@ func ProveLE(a, b Expr, ctx Context) bool { return ProveGE(b, a, ctx) }
 // ProveLT attempts to prove a < b under ctx.
 func ProveLT(a, b Expr, ctx Context) bool { return ProveGT(b, a, ctx) }
 
-// ProveCmp attempts to prove the relation l op r under ctx.
-func ProveCmp(op CmpOp, l, r Expr, ctx Context) bool {
-	switch op {
-	case OpLT:
-		return ProveLT(l, r, ctx)
-	case OpLE:
-		return ProveLE(l, r, ctx)
-	case OpGT:
-		return ProveGT(l, r, ctx)
-	case OpGE:
-		return ProveGE(l, r, ctx)
-	case OpEQ:
-		return Equal(l, r)
-	case OpNE:
-		return ProveLT(l, r, ctx) || ProveGT(l, r, ctx)
-	}
-	return false
-}
-
 // IsPNNValue reports whether the value e (possibly a range) is provably
 // positive-or-non-negative under ctx: for a range, its lower bound must be
 // PNN (the paper's "PNN value or value range").

@@ -138,18 +138,6 @@ func walkAll(es []Expr, fn func(Expr) bool) {
 	}
 }
 
-// FreeSyms returns the set of plain symbol names occurring in e.
-func FreeSyms(e Expr) map[string]bool {
-	out := map[string]bool{}
-	Walk(e, func(x Expr) bool {
-		if s, ok := x.(Sym); ok {
-			out[s.Name] = true
-		}
-		return true
-	})
-	return out
-}
-
 // ContainsSym reports whether the plain symbol name occurs in e.
 func ContainsSym(e Expr, name string) bool {
 	found := false

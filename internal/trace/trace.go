@@ -49,7 +49,7 @@ const (
 	// dictionary's attached span (statements walked, CFG nodes, proofs).
 	CounterSteps Counter = iota
 	// CounterProofs counts symbolic sign queries (SignOf entries, which
-	// back ProveGE/ProveGT/ProveCmp).
+	// back ProveGE/ProveGT/ProveLE/ProveLT).
 	CounterProofs
 	// CounterPairs counts dependence access pairs tested.
 	CounterPairs
@@ -57,7 +57,7 @@ const (
 	// (hits + misses) attributed to the span.
 	CounterSimplified
 	// CounterCacheHits / CounterCacheMisses count symbolic memo cache
-	// hits and misses (Simplify + Compare) attributed to the span.
+	// hits and misses (Simplify + canonical string) attributed to the span.
 	CounterCacheHits
 	CounterCacheMisses
 
@@ -284,14 +284,6 @@ func (r *Recorder) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.n
-}
-
-// Epoch returns the recorder's time origin (zero for nil).
-func (r *Recorder) Epoch() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.epoch
 }
 
 // Spans snapshots every recorded span in creation order. Spans still
