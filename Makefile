@@ -5,9 +5,9 @@
 #                  one-iteration bench smoke + daemon serve smoke
 #   make fmt     — fail if any file is not gofmt-clean
 #   make race    — go test -race ./... (the concurrent driver, the
-#                  sharded symbolic cache, the parallel loop drivers of
-#                  the tree walker and the VM, and the serving layer
-#                  must stay race-clean)
+#                  sharded symbolic cache, sched.ParallelLoop, on which
+#                  the tree walker and the VM run parallel regions, and
+#                  the serving layer must stay race-clean)
 #   make serve-smoke — start the subsubd daemon, fire one request from
 #                  examples/daemon over real loopback HTTP twice (miss
 #                  then content-addressed hit), validate the JSON and
@@ -16,15 +16,19 @@
 #                  tree-vs-VM execution fuzz (FuzzVMDifferential), the
 #                  simplifier and its memo keys (FuzzSimplify) and the
 #                  parser (FuzzParse) as gate steps
-#   make vm-differential — corpus bit-identity, tree vs VM, under the
-#                  race detector
+#   make vm-differential — tree vs VM under the race detector: corpus
+#                  bit-identity, the region-entry gate on adversarial
+#                  subscript arrays (guards must send the region serial),
+#                  the counter_max check alias, and global pointers
 #   make codegen-differential — native-code differential: emit every
 #                  corpus kernel as a standalone parallel Go package,
 #                  go vet + build it with -race, run serial / 8-worker /
-#                  guard-forced, and require bit-identity with the VM
+#                  guard-forced / adversarial, and require bit-identity
+#                  with the VM; the counter_max alias on all three engines
 #   make property-soundness — the injectivity/permutation fact battery:
 #                  adversarial near-miss suite, scatter dependence tests,
-#                  and the serial-vs-parallel scatter differential, all
+#                  the serial-vs-parallel scatter differential, and the
+#                  guard scans that verify the facts at run time, all
 #                  under the race detector
 #   make fault-e2e — fault-injection daemon tests (stall/panic/budget
 #                  failpoints) under the race detector
@@ -72,9 +76,13 @@ benchsmoke:
 # Corpus bit-identity, tree vs VM: the tree oracle and the bytecode VM
 # must produce byte-identical outputs over the Table-1 corpus plus the
 # scatter extension, serial and multi-worker, under the race detector;
-# the VM fuzz seed corpus must replay clean.
+# the VM fuzz seed corpus must replay clean. The adversarial arm feeds
+# every guarded kernel scrambled subscript arrays (TestGuard): both
+# engines must take the same region-or-fallback path and reach the
+# serial end state. The counter_max alias holds in runtime checks only,
+# and a global pointer declarator is an array on both engines.
 vm-differential:
-	$(GO) test -race -run 'TestDifferential|TestScatterSerialVsParallel|TestVM' \
+	$(GO) test -race -run 'TestDifferential|TestScatterSerialVsParallel|TestVM|TestGuard|TestCounterMax|TestGlobalPointer' \
 		./internal/corpus/ ./internal/interp/
 
 # End-to-end daemon smoke: binds an ephemeral loopback port, replays the
@@ -110,12 +118,14 @@ fuzz-smoke:
 
 # Property-lattice soundness gate: the adversarial injectivity battery
 # (near-misses must stay unclassified), the scatter dependence and
-# regression-pin tests, the lattice unit tests, and the scatter
-# serial-vs-8-worker bit-identity differential — all with -race so the
-# parallelized a[p[i]] writes are also checked for data races.
+# regression-pin tests, the lattice unit tests, the scatter
+# serial-vs-8-worker bit-identity differential, and the guard scans
+# that check the facts at region entry (internal/guard, at their edges)
+# — all with -race so the parallelized a[p[i]] writes are also checked
+# for data races.
 property-soundness:
-	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned' \
-		./internal/phase2/ ./internal/property/ ./internal/depend/ ./internal/corpus/
+	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned|TestGuardScan' \
+		./internal/phase2/ ./internal/property/ ./internal/depend/ ./internal/corpus/ ./internal/guard/
 
 # Fault-injection end-to-end: deterministic failpoints (stall, panic,
 # budget exhaustion) driven through the daemon's real HTTP stack, under
@@ -128,11 +138,14 @@ fault-e2e:
 # with -race, and executed serial / 8-worker / guard-forced; array end
 # states must be bit-identical to the bytecode VM and the region
 # counters must match (forced guard failures must all take the serial
-# fallback). Reduction lowering gets its own differential (the corpus
-# kernels carry none), and the golden-file tests pin emitted source
+# fallback). Guarded kernels also run their adversarial workloads
+# (corpus.Adversarial) against the serial end state and the VM's
+# counters. Reduction lowering gets its own differential (the corpus
+# kernels carry none), the counter_max alias runs on all three engines
+# (TestCounterMaxAlias), and the golden-file tests pin emitted source
 # byte-for-byte.
 codegen-differential:
-	$(GO) test -race -run 'TestCodegenDifferential|TestReductionDifferential|TestGoldenEmit|TestEmitAllKernels' \
+	$(GO) test -race -run 'TestCodegenDifferential|TestReductionDifferential|TestGoldenEmit|TestEmitAllKernels|TestCounterMax' \
 		./internal/codegen/
 
 # Fleet chaos gate: the sharded-fleet building blocks (ring determinism,

@@ -71,11 +71,10 @@ func DiffArrays(ref map[string]*interp.Array, got map[string]*interp.Array) stri
 	return ""
 }
 
-// vmOracle runs the benchmark's workload on the bytecode VM and returns
-// the end state and region counters.
-func vmOracle(t *testing.T, b *corpus.Benchmark, workers int) (map[string]*interp.Array, int64, int64) {
+// vmOracle runs a workload on the bytecode VM and returns the end state
+// and region counters.
+func vmOracle(t *testing.T, w *corpus.Work, workers int) (map[string]*interp.Array, int64, int64) {
 	t.Helper()
-	w := corpus.NewWork(b, corpus.ScaleQuick)
 	m, err := w.NewMachine(workers)
 	if err != nil {
 		t.Fatalf("machine: %v", err)
@@ -107,9 +106,8 @@ func buildKernel(t *testing.T, b *corpus.Benchmark, race bool) (string, string) 
 	return dir, bin
 }
 
-func runNative(t *testing.T, bin string, b *corpus.Benchmark, workers int, failGuards []string) *RunResult {
+func runNative(t *testing.T, bin string, w *corpus.Work, workers int, failGuards []string) *RunResult {
 	t.Helper()
-	w := corpus.NewWork(b, corpus.ScaleQuick)
 	in, err := InputFromWork(w, workers, failGuards)
 	if err != nil {
 		t.Fatalf("input: %v", err)
@@ -124,7 +122,9 @@ func runNative(t *testing.T, bin string, b *corpus.Benchmark, workers int, failG
 // TestCodegenDifferential is the native differential gate: every corpus
 // kernel (scatter extension included) emits Go that vets, builds with
 // -race, and runs serial, 8-worker and guard-forced bit-identical to
-// the bytecode VM, with matching region counters.
+// the bytecode VM, with matching region counters. A kernel whose chosen
+// loop carries a guard also runs each corpus.Adversarial workload at 8
+// workers: the serial end state, and the VM's region counters.
 func TestCodegenDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs native binaries")
@@ -140,11 +140,12 @@ func TestCodegenDifferential(t *testing.T) {
 				t.Fatalf("go vet: %v\n%s", err, out)
 			}
 
-			serialRef, _, _ := vmOracle(t, b, 1)
-			parRef, vmPar, vmFb := vmOracle(t, b, 8)
+			work := func() *corpus.Work { return corpus.NewWork(b, corpus.ScaleQuick) }
+			serialRef, _, _ := vmOracle(t, work(), 1)
+			parRef, vmPar, vmFb := vmOracle(t, work(), 8)
 
 			// Serial native: no parallel machinery engages at workers=1.
-			res := runNative(t, bin, b, 1, nil)
+			res := runNative(t, bin, work(), 1, nil)
 			if d := DiffArrays(serialRef, res.Arrays); d != "" {
 				t.Errorf("serial: %s", d)
 			}
@@ -153,7 +154,7 @@ func TestCodegenDifferential(t *testing.T) {
 			}
 
 			// 8-worker native: same end state and region counters as the VM.
-			res = runNative(t, bin, b, 8, nil)
+			res = runNative(t, bin, work(), 8, nil)
 			if d := DiffArrays(parRef, res.Arrays); d != "" {
 				t.Errorf("parallel: %s", d)
 			}
@@ -163,7 +164,7 @@ func TestCodegenDifferential(t *testing.T) {
 
 			// Forced guard failure: every region entry must take the serial
 			// fallback and still produce the serial end state.
-			res = runNative(t, bin, b, 8, []string{"*"})
+			res = runNative(t, bin, work(), 8, []string{"*"})
 			if d := DiffArrays(serialRef, res.Arrays); d != "" {
 				t.Errorf("forced fallback: %s", d)
 			}
@@ -172,6 +173,28 @@ func TestCodegenDifferential(t *testing.T) {
 			}
 			if want := vmPar + vmFb; res.Fallback != want {
 				t.Errorf("forced fallback: %d fallbacks, want %d", res.Fallback, want)
+			}
+
+			for _, s := range corpus.Scrambles {
+				adversarial := func() *corpus.Work {
+					w, err := corpus.Adversarial(b, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return w
+				}
+				if adversarial() == nil {
+					break
+				}
+				serialRef, _, _ := vmOracle(t, adversarial(), 1)
+				_, vmPar, vmFb := vmOracle(t, adversarial(), 8)
+				res := runNative(t, bin, adversarial(), 8, nil)
+				if d := DiffArrays(serialRef, res.Arrays); d != "" {
+					t.Errorf("%s: %s", s, d)
+				}
+				if res.Parallel != vmPar || res.Fallback != vmFb {
+					t.Errorf("%s: stats %d/%d, want %d/%d (vm)", s, res.Parallel, res.Fallback, vmPar, vmFb)
+				}
 			}
 		})
 	}

@@ -229,14 +229,6 @@ func (fg *fnGen) lowerIdent(t *cminus.Ident) (expr, error) {
 		}
 		return atom(sym.goName, sym.t), nil
 	}
-	// Counter_max symbols in runtime checks resolve to the current value
-	// of the underlying counter, mirroring the interpreter's fallback.
-	if fg.inCheck && strings.HasSuffix(t.Name, "_max") {
-		base := strings.TrimSuffix(t.Name, "_max")
-		if sym, ok := fg.lookup(base); ok && sym.kind == symScalar {
-			return atom(sym.goName, sym.t), nil
-		}
-	}
 	return expr{}, fmt.Errorf("unbound variable %q at %s", t.Name, t.P)
 }
 

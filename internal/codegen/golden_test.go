@@ -73,9 +73,14 @@ func TestGoldenEmit(t *testing.T) {
 }
 
 // TestEmitAllKernels emits every corpus kernel (no builds) and asserts
-// the output is gofmt-clean — the cheap always-on sanity companion to
-// the slow differential gate.
+// the output is gofmt-clean, and the guard file internal/guard's
+// guard.go byte for byte apart from its package clause — the cheap
+// always-on sanity companion to the slow differential gate.
 func TestEmitAllKernels(t *testing.T) {
+	guardSrc, err := os.ReadFile(filepath.Join("..", "guard", "guard.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range corpus.Extended() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -87,7 +92,7 @@ func TestEmitAllKernels(t *testing.T) {
 			for _, f := range []struct {
 				name string
 				src  []byte
-			}{{"prog.go", pkg.ProgGo}, {"subsubrt.go", pkg.RuntimeGo}} {
+			}{{"prog.go", pkg.ProgGo}, {"subsubrt.go", pkg.RuntimeGo}, {"guard.go", pkg.GuardGo}} {
 				formatted, err := format.Source(f.src)
 				if err != nil {
 					t.Fatalf("%s does not parse: %v", f.name, err)
@@ -95,6 +100,11 @@ func TestEmitAllKernels(t *testing.T) {
 				if !bytes.Equal(formatted, f.src) {
 					t.Errorf("%s is not gofmt-clean", f.name)
 				}
+			}
+			clause := []byte("package main\n")
+			if !bytes.HasPrefix(pkg.GuardGo, clause) ||
+				!bytes.Equal(bytes.Replace(pkg.GuardGo, clause, []byte("package guard\n"), 1), guardSrc) {
+				t.Error("guard.go differs from internal/guard/guard.go beyond its package clause")
 			}
 		})
 	}

@@ -123,6 +123,7 @@ func (p *Package) WritePackage(dir string) error {
 	}{
 		{"prog.go", p.ProgGo},
 		{"subsubrt.go", p.RuntimeGo},
+		{"guard.go", p.GuardGo},
 		{"go.mod", p.GoMod},
 	} {
 		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {

@@ -3,6 +3,7 @@ package codegen
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -43,9 +44,6 @@ type fnGen struct {
 	// the generated Go compiles (Go rejects written-but-never-read
 	// locals, C does not).
 	reads map[string]bool
-	// inCheck enables the counter_max fallback while lowering a runtime
-	// check expression.
-	inCheck bool
 }
 
 func (fg *fnGen) push() { fg.scopes = append(fg.scopes, map[string]symInfo{}) }
@@ -554,16 +552,15 @@ func hasContinue(b *cminus.Block) bool {
 // at n afterwards.
 func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) error {
 	d := lp.Decision
-	ivar, _, okInit := initVarName(x.Init)
-	cond, okCond := x.Cond.(*cminus.BinaryExpr)
-	if !okInit || !okCond || cond.Op != "<" {
-		return fmt.Errorf("parallel loop %s has non-canonical form at %s", x.Label, x.P)
+	ivar, nx, err := parallelize.Canonical(x)
+	if err != nil {
+		return fmt.Errorf("%v at %s", err, x.P)
 	}
 	ivSym, found := fg.lookup(ivar)
 	if !found || ivSym.kind != symScalar {
 		return fmt.Errorf("parallel loop %s: unknown index %q at %s", x.Label, ivar, x.P)
 	}
-	nExpr, err := fg.lowerExpr(cond.Y)
+	nExpr, err := fg.lowerExpr(nx)
 	if err != nil {
 		return err
 	}
@@ -572,12 +569,19 @@ func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) e
 	// Entry condition: the forced-failure hook, the decision's scalar
 	// runtime checks, then the array guards over the accessed section.
 	conds := []string{fmt.Sprintf("!rtFailGuard(%q)", x.Label)}
-	for _, chk := range d.RuntimeChecks {
-		ce, err := fg.lowerCheck(chk.String())
+	checks, err := lp.Checks(func(name string) bool {
+		sym, ok := fg.lookup(name)
+		return ok && sym.kind == symScalar
+	})
+	if err != nil {
+		return fmt.Errorf("loop %s: %w", x.Label, err)
+	}
+	for _, chk := range checks {
+		ce, err := fg.lowerExpr(chk)
 		if err != nil {
 			return fmt.Errorf("loop %s: %w", x.Label, err)
 		}
-		conds = append(conds, ce)
+		conds = append(conds, conv(ce, tBool).at(precAnd))
 	}
 	guards, err := fg.lowerGuards(d)
 	if err != nil {
@@ -597,7 +601,7 @@ func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) e
 	fg.line("%s = true", flag)
 	fg.line("if rtN > 0 {")
 	fg.depth++
-	if err := fg.lowerDispatch(x, d, ivSym); err != nil {
+	if err := fg.lowerDispatch(x, d, ivar, ivSym); err != nil {
 		return err
 	}
 	fg.line("%s = rtN", ivSym.goName)
@@ -624,10 +628,9 @@ func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) e
 	return nil
 }
 
-// lowerGuards renders the decision's array guards as entry-check calls.
-// Guards apply to identity subscripts, so the verified section is
-// [0, rtN) — rtN-1 adjacent pairs, or rtN for window patterns that also
-// read element rtN.
+// lowerGuards renders the decision's array guards as calls of the scans
+// in internal/guard, which every emitted module carries (GuardGo), over
+// the section a loop of rtN trips reads.
 func (fg *fnGen) lowerGuards(d *depend.Decision) ([]string, error) {
 	var out []string
 	for _, gd := range d.Guards {
@@ -637,15 +640,11 @@ func (fg *fnGen) lowerGuards(d *depend.Decision) ([]string, error) {
 		}
 		switch gd.Kind {
 		case depend.GuardMonotone:
-			pairs := "rtN-1"
-			if gd.Window {
-				pairs = "rtN"
-			}
-			out = append(out, fmt.Sprintf("rtGuardMono(%s, %s, %v)", sym.goName, pairs, gd.Strict))
+			out = append(out, fmt.Sprintf("Monotone(%s.X, rtN, %v, %v)", sym.goName, gd.Strict, gd.Window))
 		case depend.GuardInjective:
-			out = append(out, fmt.Sprintf("rtGuardInj(%s, rtN)", sym.goName))
+			out = append(out, fmt.Sprintf("Injective(%s.X, rtN)", sym.goName))
 		case depend.GuardRangeMono:
-			out = append(out, fmt.Sprintf("rtGuardRangeMono(%s, rtN)", sym.goName))
+			out = append(out, fmt.Sprintf("RangeMonotone(%s.Dims, %s.X, rtN)", sym.goName, sym.goName))
 		default:
 			return nil, fmt.Errorf("unknown guard kind %v for %q", gd.Kind, gd.Array)
 		}
@@ -653,29 +652,8 @@ func (fg *fnGen) lowerGuards(d *depend.Decision) ([]string, error) {
 	return out, nil
 }
 
-// lowerCheck lowers a rendered symbolic condition by reusing the mini-C
-// expression parser, exactly like the interpreter's evalSymbolicCond.
-func (fg *fnGen) lowerCheck(cond string) (string, error) {
-	src := fmt.Sprintf("void __c(void) { int __r; __r = (%s); }", cond)
-	prog, err := cminus.Parse(src)
-	if err != nil {
-		return "", fmt.Errorf("bad runtime check %q: %v", cond, err)
-	}
-	as, ok := prog.Funcs[0].Body.Stmts[1].(*cminus.AssignStmt)
-	if !ok {
-		return "", fmt.Errorf("bad runtime check %q", cond)
-	}
-	fg.inCheck = true
-	v, err := fg.lowerExpr(as.RHS)
-	fg.inCheck = false
-	if err != nil {
-		return "", err
-	}
-	return conv(v, tBool).at(precAnd), nil
-}
-
 // lowerDispatch emits the goroutine fan-out inside a passed guard.
-func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivSym symInfo) error {
+func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivar string, ivSym symInfo) error {
 	fg.line("rtW := rtWorkers")
 	fg.line("if int64(rtW) > rtN {")
 	fg.line("\trtW = int(rtN)")
@@ -718,7 +696,6 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivSym symI
 	// Worker-local state: privates and reduction accumulators shadow
 	// the captured outer variables; the loop index is a fresh local.
 	fg.push()
-	ivar := ivarNameOf(x)
 	var plain []string
 	var plainT typ
 	flushPlain := func() {
@@ -757,7 +734,7 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivSym symI
 		fg.line("var %s %s = %s", sym.goName, sym.t, init)
 	}
 	fg.line("for %s := rtStart; %s < rtEnd; %s++ {", ivSym.goName, ivSym.goName, ivSym.goName)
-	fg.define(ivarNameOf(x), symInfo{kind: symScalar, t: tInt, goName: ivSym.goName})
+	fg.define(ivar, symInfo{kind: symScalar, t: tInt, goName: ivSym.goName})
 	if err := fg.lowerBlock(x.Body); err != nil {
 		return err
 	}
@@ -807,40 +784,19 @@ func sortedReductions(d *depend.Decision) []redSlot {
 	return out
 }
 
-func ivarNameOf(x *cminus.ForStmt) string {
-	name, _, _ := initVarName(x.Init)
-	return name
-}
-
-// initVarName mirrors the interpreter's canonical-init probe.
-func initVarName(s cminus.Stmt) (string, cminus.Expr, bool) {
-	switch x := s.(type) {
-	case *cminus.AssignStmt:
-		if id, ok := x.LHS.(*cminus.Ident); ok {
-			return id.Name, x.RHS, true
-		}
-	case *cminus.DeclStmt:
-		if len(x.Items) == 1 && x.Items[0].Init != nil {
-			return x.Items[0].Name, x.Items[0].Init, true
-		}
-	}
-	return "", nil, false
-}
-
 // scanReads collects every source name read at least once in the
 // function: identifiers in any expression except a scalar assignment
 // target (writing alone is not a use in Go). Names referenced by
 // runtime checks and guards of chosen loops count as reads too, since
-// the emitted entry conditions read them.
+// the emitted entry conditions read them. A check's names resolve
+// against the names the body reads, so a counter alias only ever maps
+// to a name already marked.
 func scanReads(fn *cminus.FuncDecl, fp *parallelize.FuncPlan) map[string]bool {
 	reads := map[string]bool{}
 	markExpr := func(e cminus.Expr) {
 		cminus.WalkExprs(e, func(x cminus.Expr) bool {
 			if id, ok := x.(*cminus.Ident); ok {
 				reads[id.Name] = true
-				if strings.HasSuffix(id.Name, "_max") {
-					reads[strings.TrimSuffix(id.Name, "_max")] = true
-				}
 			}
 			return true
 		})
@@ -883,6 +839,7 @@ func scanReads(fn *cminus.FuncDecl, fp *parallelize.FuncPlan) map[string]bool {
 		return true
 	})
 	if fp != nil {
+		body := maps.Clone(reads)
 		for _, lp := range fp.Loops {
 			if !lp.Chosen || lp.Decision == nil {
 				continue
@@ -890,12 +847,9 @@ func scanReads(fn *cminus.FuncDecl, fp *parallelize.FuncPlan) map[string]bool {
 			for _, gd := range lp.Decision.Guards {
 				reads[gd.Array] = true
 			}
-			for _, chk := range lp.Decision.RuntimeChecks {
-				if prog, err := cminus.Parse(fmt.Sprintf("void __c(void) { int __r; __r = (%s); }", chk.String())); err == nil {
-					if as, ok := prog.Funcs[0].Body.Stmts[1].(*cminus.AssignStmt); ok {
-						markExpr(as.RHS)
-					}
-				}
+			checks, _ := lp.Checks(func(name string) bool { return body[name] })
+			for _, chk := range checks {
+				markExpr(chk)
 			}
 		}
 	}

@@ -3,7 +3,9 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
+	"repro/internal/cminus"
 	"repro/internal/interp"
 	"repro/internal/parallelize"
 	"repro/internal/phase2"
@@ -309,4 +311,74 @@ func NewWork(b *Benchmark, scale Scale) *Work {
 		panic(fmt.Sprintf("corpus: no workload for benchmark %q", b.Name))
 	}
 	return w
+}
+
+// Scramble names a way to corrupt the subscript array a plan's guard
+// checks (depend.Guard).
+type Scramble string
+
+// Scrambles lists the corruptions Adversarial applies, at the middle m
+// of the section (a block boundary of a blocked array) or at its end.
+var Scrambles = []Scramble{
+	"duplicate",      // x[m] = x[m-1]
+	"descending-run", // x[m-2:m+2] reversed
+	"short-fill",     // last element zeroed, as a fill one element short leaves it
+}
+
+// Adversarial builds b's quick workload with its fill calls replaced by
+// their result, scrambled: the fills run once serially, then s corrupts
+// every array a guard of the kernel's chosen loops checks, within the
+// section the loop reads. Only the kernel call remains. It returns nil
+// when no chosen loop of the kernel carries a guard.
+func Adversarial(b *Benchmark, s Scramble) (*Work, error) {
+	w := NewWork(b, ScaleQuick)
+	m, err := w.NewMachine(1)
+	if err != nil {
+		return nil, err
+	}
+	kernel := w.Calls[len(w.Calls)-1]
+	w.Calls = w.Calls[:len(w.Calls)-1]
+	if err := w.Run(m); err != nil {
+		return nil, err
+	}
+	w.Calls = []Call{kernel}
+	fp := PlanFor(b, phase2.LevelNew).Funcs[b.KernelFunc]
+	arg := map[string]interp.Arg{}
+	for i, p := range fp.Annotated.Params {
+		arg[p.Name] = kernel.Args[i]
+	}
+	loops := cminus.NumberLoops(fp.Annotated.Body)
+	guarded := false
+	for _, lp := range fp.ByIndex {
+		if lp == nil || !lp.Chosen {
+			continue
+		}
+		var n int
+		if _, bound, err := parallelize.Canonical(loops[lp.Index]); err == nil {
+			if id, ok := bound.(*cminus.Ident); ok {
+				n, _ = arg[id.Name].(int)
+			}
+		}
+		for _, g := range lp.Decision.Guards {
+			a, _ := arg[g.Array].(*interp.Array)
+			if a == nil || n < 4 {
+				return nil, fmt.Errorf("%s: loop %s: no int bound of at least 4 or no array %s", b.Name, lp.Label, g.Array)
+			}
+			block := len(a.Ints) / int(a.Dims[0])
+			x, mid := a.Ints, n/2*block
+			switch s {
+			case "duplicate":
+				x[mid] = x[mid-1]
+			case "descending-run":
+				slices.Reverse(x[mid-2 : mid+2])
+			case "short-fill":
+				x[n*block-1] = 0
+			}
+			guarded = true
+		}
+	}
+	if !guarded {
+		return nil, nil
+	}
+	return w, nil
 }

@@ -8,12 +8,12 @@ import "repro/internal/symbolic"
 // the OpenMP if-clause (the paper's "-1+num_rownnz <= irownnz_max"
 // pattern). A Guard is the complementary *array-shaped* obligation: the
 // subscript-array property the decision relied on (monotonicity,
-// injectivity, range monotonicity) restated as a check a code generator
-// can verify by scanning the array at region entry, falling back to the
-// serial loop when the scan fails. The interpreter engines do not
-// evaluate Guards — they trust the analysis — so emitting them never
-// changes simulated results; native backends (internal/codegen) emit
-// them as real entry checks.
+// injectivity, range monotonicity) restated as a scan of the array at
+// region entry (internal/guard), falling back to the serial loop when
+// the scan fails. The bytecode VM, the tree walker and the Go that
+// internal/codegen emits all run the same scans, so a region whose
+// subscript array breaks the proved fact runs serially on every engine
+// rather than racing.
 
 // GuardKind classifies a runtime array-verification obligation.
 type GuardKind int
@@ -90,8 +90,8 @@ func addGuard(d *Decision, g Guard) {
 // coincides with the accessed section, so a guard pass is sound and a
 // guard failure is meaningful. Subscripts with offsets or strides would
 // need a shifted scan; the analysis stays conservative and emits no
-// guard for them (native backends then parallelize without an entry
-// check, trusting the proof, exactly like the interpreter).
+// guard for them (every engine then parallelizes without an entry scan,
+// trusting the proof).
 func identitySubscript(g symbolic.Expr, v string) bool {
 	sym, ok := symbolic.Simplify(g).(symbolic.Sym)
 	return ok && sym.Name == v

@@ -25,15 +25,16 @@ type Decision struct {
 	// Reductions maps reduction scalars to their operators.
 	Reductions map[string]string
 	// RuntimeChecks are conditions that must hold at run time for the
-	// parallel execution to be valid (evaluated by the generated code; the
-	// loop falls back to serial execution when one fails).
+	// parallel execution to be valid. Every engine evaluates them at
+	// region entry (parallelize.LoopPlan.Checks) and runs the serial loop
+	// when one fails.
 	RuntimeChecks []symbolic.Expr
 	// Guards are array-shaped runtime obligations: the subscript-array
-	// properties the decision relied on, restated as entry checks a
-	// native code generator can verify by scanning the array (serial
-	// fallback on failure). Only emitted when the subscript is the loop
-	// index itself, so the scanned section equals the accessed one. The
-	// interpreter engines ignore Guards.
+	// properties the decision relied on, restated as entry checks that
+	// scan the array (internal/guard). Every engine runs them after the
+	// checks and falls back to the serial loop on failure. Only emitted
+	// when the subscript is the loop index itself, so the scanned section
+	// equals the accessed one.
 	Guards []Guard
 	// UsedProperties lists the subscript-array properties the decision
 	// relied on (empty for purely classical decisions).

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"repro/internal/cminus"
+	"repro/internal/depend"
 	"repro/internal/parallelize"
 )
 
@@ -208,7 +209,7 @@ const (
 	// Parallel regions.
 	opJNoPar   // if m.Workers <= 1 { pc = A }
 	opFall     // Stats.RuntimeFallback++
-	opParEnter // Stats.ParallelRegions++
+	opParEnter // guards of pars[Aux] over ints[B] trips hold ? Stats.ParallelRegions++ : pc = A
 	opPar      // run parallel loop pars[Aux]; trip count in ints[B], control out in ints[A]
 	opJIEqK    // if ints[B] == K { pc = A }  (opPar control dispatch)
 	opIterRet  // propagate a worker/return control: ctlReturn
@@ -273,12 +274,15 @@ type vcall struct {
 // emitted segment of the same function's code, entered per iteration
 // with the loop variable preset.
 type vparloop struct {
-	label    string
 	ivarCell bool
 	ivarSlot int32
 	bodyPC   int32
 	privs    []privSlot
 	reds     []redSlot
+	// guards are the decision's guards; guardSlots[i] is the array slot
+	// of guards[i].
+	guards     []depend.Guard
+	guardSlots []int32
 }
 
 // bfunc is one bytecode-compiled function.
@@ -1971,21 +1975,10 @@ func (bc *bcCompiler) serialFor(loop *cminus.ForStmt) {
 	bc.bind(lend)
 }
 
-// emitCheck compiles one rendered runtime-check condition by reusing the
-// mini-C expression parser, branching to the fallback label when false.
-func (bc *bcCompiler) emitCheck(cond string, lfall int32) {
-	src := fmt.Sprintf("void __c(void) { int __r; __r = (%s); }", cond)
-	prog, err := cminus.Parse(src)
-	if err != nil {
-		bc.errOp("interp: bad runtime check %q: %v", cond, err)
-		return
-	}
-	as := prog.Funcs[0].Body.Stmts[1].(*cminus.AssignStmt)
-	ti, tf := bc.save()
-	bc.emitBranch(as.RHS, lfall, false)
-	bc.restore(ti, tf)
-}
-
+// emitFor compiles a loop. A plan-chosen loop gets the region entry
+// gate ahead of its serial form: the runtime checks, the trip count,
+// then opParEnter, which runs the guard scans and counts the region.
+// Any failure lands on opFall and the serial loop.
 func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 	lp := bc.r.planFor(loop)
 	if lp == nil || !lp.Chosen {
@@ -1994,28 +1987,30 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 	}
 	lserial, lfall, lend := bc.newLabel(), bc.newLabel(), bc.newLabel()
 	bc.jump(Instr{Op: opJNoPar}, lserial)
-	for _, chk := range lp.Decision.RuntimeChecks {
-		bc.emitCheck(chk.String(), lfall)
+	checks, err := lp.Checks(func(name string) bool { return bc.r.peekScalar(name) != nil })
+	if err != nil {
+		bc.errOp("interp: %v", err)
 	}
-	bc.emit(Instr{Op: opParEnter})
-	pl := vparloop{label: loop.Label}
-	okInit := false
-	if ivar, _, ok := initVarName(loop.Init); ok {
+	for _, chk := range checks {
+		ti, tf := bc.save()
+		bc.emitBranch(chk, lfall, false)
+		bc.restore(ti, tf)
+	}
+	var pl vparloop
+	ivar, nx, err := parallelize.Canonical(loop)
+	if err == nil {
 		switch s := bc.r.resolveScalar(ivar); s.kind {
 		case syLocalInt:
-			okInit, pl.ivarSlot = true, int32(s.idx)
+			pl.ivarSlot = int32(s.idx)
 		case syCell:
-			okInit, pl.ivarCell, pl.ivarSlot = true, true, int32(s.idx)
+			pl.ivarCell, pl.ivarSlot = true, int32(s.idx)
+		default:
+			err = fmt.Errorf("parallel loop %s has non-canonical init", loop.Label)
 		}
 	}
-	cond, okCond := loop.Cond.(*cminus.BinaryExpr)
-	okCond = okCond && cond.Op == "<"
-	switch {
-	case !okInit:
-		bc.errOp("interp: parallel loop %s has non-canonical init", loop.Label)
-	case !okCond:
-		bc.errOp("interp: parallel loop %s has non-canonical condition", loop.Label)
-	default:
+	if err != nil {
+		bc.errOp("interp: %v", err)
+	} else {
 		d := lp.Decision
 		for _, p := range d.Privates {
 			switch s := bc.r.resolveScalar(p); s.kind {
@@ -2037,10 +2032,15 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 				pl.reds = append(pl.reds, redSlot{kind: pkCell, slot: s.idx, float: s.float, cmb: combineKind(rv[1])})
 			}
 		}
+		pl.guards = d.Guards
+		for _, g := range d.Guards {
+			pl.guardSlots = append(pl.guardSlots, int32(bc.r.entryArray(g.Array).slot))
+		}
 		nreg := bc.allocI()
-		bc.asITo(cond.Y, nreg)
+		bc.asITo(nx, nreg)
 		bc.bf.pars = append(bc.bf.pars, pl)
 		pidx := len(bc.bf.pars) - 1
+		bc.jump(Instr{Op: opParEnter, B: nreg, Aux: int32(pidx)}, lfall)
 		bc.segs = append(bc.segs, pendingSeg{body: loop.Body, pidx: pidx})
 		ctl := bc.allocI()
 		bc.emit(Instr{Op: opPar, A: ctl, B: nreg, Aux: int32(pidx)})

@@ -2,10 +2,17 @@ package interp
 
 import (
 	"context"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/budget"
 	"repro/internal/cminus"
+	"repro/internal/parallelize"
+	"repro/internal/phase2"
 )
 
 func machineFor(t *testing.T, src, engine string) *Machine {
@@ -182,6 +189,88 @@ void f(int out[]) {
 		v, _ := out.Get([]int64{0})
 		if v.AsInt() != 55 {
 			t.Fatalf("engine %q: fib(10) = %d, want 55", eng, v.AsInt())
+		}
+	}
+}
+
+// TestCounterMaxAlias runs the one-function AMG program whose plan
+// checks -1+irownnz<=irownnz_max: irownnz_max is not a program
+// variable, so the check evaluates only through the counter alias
+// (parallelize.LoopPlan.Checks). Both engines at 8 workers must run the
+// matvec as one parallel region and reach the serial end state.
+func TestCounterMaxAlias(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "counter_alias.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := parallelize.Run(cminus.MustParse(string(src)), phase2.LevelNew, nil)
+	if got := plan.Funcs["amg"].Loops["L2"].Decision.CheckString(); got != "-1+irownnz<=irownnz_max" {
+		t.Fatalf("L2 check = %q", got)
+	}
+	run := func(engine string, workers int) (*Array, Stats) {
+		m, err := New(plan.Program())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Plan, m.Workers, m.Interp = plan, workers, engine
+		const n = 200
+		rng := rand.New(rand.NewSource(5))
+		ai, aj, ad := buildCSR(rng, n)
+		aiArr := NewIntArray("A_i", int64(len(ai)))
+		copy(aiArr.Ints, ai)
+		ajArr := NewIntArray("A_j", int64(len(aj)))
+		copy(ajArr.Ints, aj)
+		adArr := NewFloatArray("A_data", int64(len(ad)))
+		copy(adArr.Flts, ad)
+		x, y := NewFloatArray("x_data", n), NewFloatArray("y_data", n)
+		for i := 0; i < n; i++ {
+			x.Flts[i], y.Flts[i] = rng.Float64(), rng.Float64()
+		}
+		if err := m.Call("amg", n, aiArr, NewIntArray("A_rownnz", n), ajArr, adArr, x, y); err != nil {
+			t.Fatalf("%s@%d: %v", engine, workers, err)
+		}
+		return y, m.Stats
+	}
+	serial, _ := run("vm", 1)
+	for _, eng := range engines {
+		y, st := run(eng, 8)
+		if st != (Stats{ParallelRegions: 1}) {
+			t.Errorf("%s@8: stats %+v, want one parallel region", eng, st)
+		}
+		for i := range serial.Flts {
+			if math.Float64bits(y.Flts[i]) != math.Float64bits(serial.Flts[i]) {
+				t.Fatalf("%s@8: y_data[%d] = %v, serial %v", eng, i, y.Flts[i], serial.Flts[i])
+			}
+		}
+	}
+}
+
+// TestCounterMaxOnlyInChecks: the counter alias binds names inside a
+// plan's runtime checks only. In ordinary code n_max is an unbound
+// variable on both engines, as codegen reports it.
+func TestCounterMaxOnlyInChecks(t *testing.T) {
+	for _, eng := range engines {
+		m := machineFor(t, `void f(int *out, int n) { out[0] = n_max + 1; }`, eng)
+		out := NewIntArray("out", 1)
+		err := m.Call("f", out, 41)
+		if err == nil || !strings.Contains(err.Error(), `unbound variable "n_max"`) {
+			t.Errorf("%s: err = %v, out[0] = %d; want an unbound-variable error", eng, err, out.Ints[0])
+		}
+	}
+}
+
+// TestGlobalPointerIsArray: a file-scope pointer declarator is a 0-dim
+// array on both engines, as a local one is (and as the analysis and
+// codegen treat it), so indexing it reports the rank mismatch.
+func TestGlobalPointerIsArray(t *testing.T) {
+	for _, eng := range engines {
+		m := machineFor(t, `int *q; void f(void) { q[0] = 1; }`, eng)
+		if a := m.Arrays["q"]; a == nil || len(a.Dims) != 0 || m.Globals["q"] != nil {
+			t.Fatalf("%s: q is not a 0-dim array (array %v, scalar %v)", eng, a, m.Globals["q"])
+		}
+		err := m.Call("f")
+		if err == nil || !strings.Contains(err.Error(), "array q indexed with 1 subscripts, has 0 dims") {
+			t.Errorf("%s: err = %v, want the 0-dim array error", eng, err)
 		}
 	}
 }

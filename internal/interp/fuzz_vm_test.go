@@ -36,6 +36,8 @@ var vmFuzzSeeds = []string{
 	// A local pointer declarator without dimensions is a 0-dim array on
 	// both engines, so indexing it fails the same way.
 	`void f(int *p) { int *q; q[0] = 1; }`,
+	// So is a file-scope one.
+	`int *q; void f(void) { q[0] = 1; }`,
 }
 
 // vmFuzzBudget bounds a VM run so fuzz-generated unbounded loops (and

@@ -258,50 +258,6 @@ void sum(int n, double *a, double *out) {
 	}
 }
 
-// TestDynamicScheduling: dynamic chunking produces the same results.
-func TestDynamicScheduling(t *testing.T) {
-	prog := cminus.MustParse(amgProgram)
-	plan := parallelize.Run(prog, phase2.LevelNew, nil)
-	serial := runAMG(t, nil, 1, 99, 150)
-	m := func() *Array {
-		mach, err := New(plan.Program())
-		if err != nil {
-			t.Fatal(err)
-		}
-		mach.Plan = plan
-		mach.Workers = 4
-		mach.DynamicChunk = 8
-		rng := rand.New(rand.NewSource(99))
-		n := 150
-		ai, aj, ad := buildCSR(rng, n)
-		aiArr := NewIntArray("A_i", int64(len(ai)))
-		copy(aiArr.Ints, ai)
-		ajArr := NewIntArray("A_j", int64(max64(1, int64(len(aj)))))
-		copy(ajArr.Ints, aj)
-		adArr := NewFloatArray("A_data", int64(max64(1, int64(len(ad)))))
-		copy(adArr.Flts, ad)
-		rownnz := NewIntArray("A_rownnz", int64(n))
-		count := NewIntArray("nnz_count", 1)
-		x := NewFloatArray("x_data", int64(n))
-		y := NewFloatArray("y_data", int64(n))
-		for i := 0; i < n; i++ {
-			x.Flts[i] = rng.Float64()
-			y.Flts[i] = rng.Float64()
-		}
-		if err := mach.Call("fill", int64(n), aiArr, rownnz, count); err != nil {
-			t.Fatal(err)
-		}
-		nr := count.Ints[0]
-		if err := mach.Call("kernel", nr, nr, rownnz, aiArr, ajArr, adArr, x, y); err != nil {
-			t.Fatal(err)
-		}
-		return y
-	}()
-	if d := MaxAbsDiff(serial, m); d > 1e-9 {
-		t.Errorf("dynamic parallel differs from serial by %g", d)
-	}
-}
-
 // TestBasicExecution exercises the interpreter core: arithmetic, control
 // flow, math builtins.
 func TestBasicExecution(t *testing.T) {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/cminus"
 	"repro/internal/parallelize"
@@ -269,7 +268,7 @@ func (r *resolver) resolve() {
 		for v := range d.Reductions {
 			promote(v)
 		}
-		if ivar, _, ok := initVarName(loop.Init); ok {
+		if ivar, _, err := parallelize.Canonical(loop); err == nil {
 			promote(ivar)
 		}
 	}
@@ -292,8 +291,8 @@ func (r *resolver) planFor(loop *cminus.ForStmt) *parallelize.LoopPlan {
 	return r.fp.Loops[loop.Label]
 }
 
-// resolveScalar memoizes name resolution: local slot, global cell, the
-// runtime-check "_max" alias, or unbound.
+// resolveScalar memoizes name resolution: local slot, global cell, or
+// unbound.
 func (r *resolver) resolveScalar(name string) *scalarSym {
 	if s, ok := r.scalars[name]; ok {
 		return s
@@ -302,14 +301,6 @@ func (r *resolver) resolveScalar(name string) *scalarSym {
 		s := &scalarSym{kind: syGlobal, g: g, float: g.Float, name: name}
 		r.scalars[name] = s
 		return s
-	}
-	// Counter_max symbols used by runtime checks resolve to the current
-	// value of the underlying counter.
-	if base, ok := strings.CutSuffix(name, "_max"); ok && base != "" {
-		if s := r.peekScalar(base); s != nil {
-			r.scalars[name] = s
-			return s
-		}
 	}
 	s := &scalarSym{kind: syUnbound, name: name}
 	r.scalars[name] = s
@@ -350,11 +341,6 @@ func (r *resolver) typeOf(e cminus.Expr) ctyp {
 	case *cminus.Ident:
 		if s := r.peekScalar(x.Name); s != nil {
 			return s.typ()
-		}
-		if base, ok := strings.CutSuffix(x.Name, "_max"); ok && base != "" {
-			if s := r.peekScalar(base); s != nil {
-				return s.typ()
-			}
 		}
 		return tInt
 	case *cminus.BinaryExpr:

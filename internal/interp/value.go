@@ -1,8 +1,8 @@
-// Package interp is a tree-walking executor for the mini-C language. It
-// runs programs serially or according to a parallelization plan: loops the
-// plan marks parallel execute their iterations on a goroutine pool with
-// privatized scalars, reduction combining, and run-time check fallback —
-// exactly the semantics of the OpenMP annotations the parallelizer emits.
+// Package interp executes mini-C programs on a bytecode VM (the default)
+// or a tree walker (the oracle), serially or by a parallelization plan:
+// loops the plan marks parallel run on sched.ParallelLoop with privatized
+// scalars, reduction combining, and a serial fallback when a runtime check
+// or guard scan fails at region entry — the OpenMP annotations' semantics.
 // The interpreter exists to validate plans: for every loop the analysis
 // parallelizes, parallel execution must produce the same result as serial
 // execution.

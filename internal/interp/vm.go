@@ -845,7 +845,12 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32) control {
 		case opFall:
 			m.Stats.RuntimeFallback++
 		case opParEnter:
-			m.Stats.ParallelRegions++
+			pl := &bf.pars[in.Aux]
+			if guardsHold(pl.guards, ints[in.B], func(i int) *Array { return fr.arrs[pl.guardSlots[i]] }) {
+				m.Stats.ParallelRegions++
+			} else {
+				pc = in.A
+			}
 		case opPar:
 			ints[in.A] = int64(m.runPar(bf, fr, in))
 
@@ -954,7 +959,7 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		return ctlNext
 	}
 
-	sched.ParallelLoop(n, workers, m.DynamicChunk,
+	sched.ParallelLoop(n, workers, 0,
 		func(w int) { frames[w] = vmWorkerFrame(bf, parent, pl) },
 		func(w int, start, end int64) (cont bool) {
 			defer func() {

@@ -1,7 +1,11 @@
-// Package sched is the parallel runtime the generated (native Go)
-// benchmark kernels run on: a parallel-for with OpenMP-like static and
-// dynamic scheduling over a goroutine pool, plus a fork-join cost
-// microbenchmark used to calibrate the multicore simulator.
+// Package sched fans loop iterations out over goroutines. ParallelLoop
+// is the one chunker: the bytecode VM and the tree walker run their
+// plan-chosen parallel regions on it, and For, the OpenMP-like
+// parallel-for of the hand-written figure kernels (internal/kernels),
+// is a thin wrapper over it. ForTraced is the analysis job pool, and
+// MeasureForkJoin times a fork-join to calibrate the multicore
+// simulator. The Go that internal/codegen emits carries its own
+// dispatch and does not use this package.
 package sched
 
 import (
@@ -33,12 +37,14 @@ func (p Policy) String() string {
 type Options struct {
 	Workers int
 	Policy  Policy
-	// Chunk is the dynamic chunk size (default 1) or the static chunk
-	// override (default n/Workers contiguous blocks).
+	// Chunk is the dynamic policy's chunk size (default 1). The static
+	// policy ignores it and always splits the range into one contiguous
+	// block per worker.
 	Chunk int
 }
 
-// For runs body(i) for i in [0,n) in parallel.
+// For runs body(i) for i in [0,n) in parallel on ParallelLoop, with
+// Workers goroutines (GOMAXPROCS when unset, at most n).
 //
 // Static: contiguous blocks of ~n/Workers per worker (OpenMP default).
 // Dynamic: workers pull chunks of Options.Chunk iterations.
@@ -47,70 +53,16 @@ func For(n int, opt Options, body func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
+	chunk := 0
 	if opt.Policy == Dynamic {
-		chunk := opt.Chunk
-		if chunk <= 0 {
-			chunk = 1
-		}
-		var next int64
-		var mu sync.Mutex
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					start := int(next)
-					next += int64(chunk)
-					mu.Unlock()
-					if start >= n {
-						return
-					}
-					end := start + chunk
-					if end > n {
-						end = n
-					}
-					for i := start; i < end; i++ {
-						body(i)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		return
+		chunk = max(opt.Chunk, 1)
 	}
-	per := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		start := w * per
-		end := start + per
-		if end > n {
-			end = n
+	ParallelLoop(int64(n), min(workers, n), chunk, func(int) {}, func(_ int, start, end int64) bool {
+		for i := start; i < end; i++ {
+			body(int(i))
 		}
-		if start >= end {
-			break
-		}
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			for i := start; i < end; i++ {
-				body(i)
-			}
-		}(start, end)
-	}
-	wg.Wait()
+		return true
+	})
 }
 
 // ForTraced is For with pipeline tracing: when tr records, each worker
@@ -165,11 +117,12 @@ func ForTraced(n int, opt Options, tr *trace.Recorder, parent trace.SpanID, body
 	wg.Wait()
 }
 
-// ParallelLoop is the fan-out primitive behind the interpreter engines'
-// parallel-for drivers: static contiguous ceil(n/workers) blocks (empty
-// tail blocks spawn no worker) or, with dynamicChunk > 0, workers
-// pulling fixed-size chunks off a shared counter. It deliberately does
-// NOT clamp workers to n — callers clamp first, because worker count is
+// ParallelLoop is the fan-out primitive behind every parallel-for in
+// this package's callers: static contiguous ceil(n/workers) blocks
+// (empty tail blocks spawn no worker) or, with dynamicChunk > 0, workers
+// pulling fixed-size chunks off a shared counter. One worker runs its
+// block on the caller's goroutine. It deliberately does NOT clamp
+// workers to n — callers clamp first, because worker count is
 // observable (per-worker reduction cells combine in worker order).
 //
 // setup(w) runs on the caller's goroutine immediately before worker w is
@@ -180,6 +133,11 @@ func ForTraced(n int, opt Options, tr *trace.Recorder, parent trace.SpanID, body
 // crashes the process.
 func ParallelLoop(n int64, workers, dynamicChunk int, setup func(w int), body func(w int, start, end int64) bool) {
 	if n <= 0 || workers <= 0 {
+		return
+	}
+	if workers == 1 {
+		setup(0)
+		body(0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
