@@ -77,6 +77,30 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
+// TestUsedPropertiesListedOnce: a decision names each fact it rests on
+// once, however many dependence pairs the fact settles (AMGmk's L2 rests
+// on one A_rownnz fact through two pairs).
+func TestUsedPropertiesListedOnce(t *testing.T) {
+	for _, gl := range goldenLevels {
+		for _, br := range AnalyzeBatch(corpusBatch(gl.level), Options{}) {
+			if br.Err != nil {
+				t.Fatalf("%s/%s: %v", gl.name, br.Name, br.Err)
+			}
+			for fn, fp := range br.Res.Plan.Funcs {
+				for lbl, lp := range fp.Loops {
+					seen := map[string]bool{}
+					for _, p := range lp.Decision.UsedProperties {
+						if seen[p] {
+							t.Errorf("%s/%s %s %s: %q listed twice", gl.name, br.Name, fn, lbl, p)
+						}
+						seen[p] = true
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGoldenMemoCounters pins the symbolic memo's counters over a cold
 // per-program pass of the corpus at level New, the way a fresh subsubcc
 // process analyzes one file. The counters depend only on which

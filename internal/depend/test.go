@@ -2,6 +2,7 @@ package depend
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -517,11 +518,20 @@ func (t *Tester) multiDimDisjoint(s1, s2 symbolic.Expr, v string, info *LoopAcce
 	if !ok || coef == 0 {
 		return false
 	}
-	d.UsedProperties = append(d.UsedProperties, p.String())
+	useProperty(d, p)
 	if p.Dim == 0 && identitySubscript(g1, v) {
 		addGuard(d, Guard{Array: ar1.Name, Kind: GuardRangeMono, Strict: true})
 	}
 	return true
+}
+
+// useProperty lists p among the facts the decision rests on, once: every
+// dependence pair that rests on the same fact reaches here, and the list
+// keeps first-use order.
+func useProperty(d *Decision, p *property.ArrayProperty) {
+	if s := p.String(); !slices.Contains(d.UsedProperties, s) {
+		d.UsedProperties = append(d.UsedProperties, s)
+	}
 }
 
 // emitSectionCheck records that the accessed subscript section must lie
@@ -529,7 +539,7 @@ func (t *Tester) multiDimDisjoint(s1, s2 symbolic.Expr, v string, info *LoopAcce
 // the upper end (counter_max) is only known at run time, producing the
 // paper's "-1+num_rownnz <= irownnz_max" style condition.
 func (t *Tester) emitSectionCheck(p *property.ArrayProperty, g symbolic.Expr, v string, info *LoopAccessInfo, d *Decision) {
-	d.UsedProperties = append(d.UsedProperties, p.String())
+	useProperty(d, p)
 	if p.Kind != property.KindIntermittent || p.IndexHi == nil {
 		return
 	}
