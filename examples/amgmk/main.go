@@ -1,20 +1,21 @@
 // AMGmk end-to-end: run the three analysis arms on the AMGmk kernels
-// (paper Section 3.1), show which loop each arm parallelizes, validate
-// the chosen plan by real parallel execution, and measure the native
-// kernel serially and on the available cores.
+// (paper Section 3.1), show which loop each arm parallelizes, and check
+// the chosen plan on real data: the corpus workload runs on the VM
+// serially and on every core, and the example exits nonzero unless both
+// runs reach bit-identical end states.
 package main
 
 import (
 	"fmt"
 	"log"
+	"math"
+	"os"
 	"runtime"
-	"time"
+	"slices"
 
 	"repro/internal/corpus"
-	"repro/internal/kernels"
+	"repro/internal/interp"
 	"repro/internal/phase2"
-	"repro/internal/sched"
-	"repro/internal/sparse"
 
 	"repro"
 )
@@ -39,28 +40,46 @@ func main() {
 	fmt.Println("\n-- annotated kernel --")
 	fmt.Print(res.AnnotatedSource())
 
-	// Native kernel: measure serial vs parallel on the machine's cores.
-	grid := sparse.AMGGrid{Name: "MATRIX2", Nx: 34, Ny: 34, Nz: 34}
-	k := kernels.NewAMG(grid)
-	workers := runtime.GOMAXPROCS(0)
-
-	k.Reset()
-	t0 := time.Now()
-	for r := 0; r < 5; r++ {
-		k.RunSerial()
+	// The plan on real data: the corpus workload (amg_fill, then
+	// amg_matvec) on the VM, serially and on every core.
+	workers := max(runtime.GOMAXPROCS(0), 2) // two on one core, so the region runs
+	serial, _ := run(b, 1)
+	par, stats := run(b, workers)
+	fmt.Printf("\nVM, %d workers: %d parallel regions, %d fallbacks\n",
+		workers, stats.ParallelRegions, stats.RuntimeFallback)
+	if !sameState(serial, par) {
+		fmt.Println("end state differs from the serial run")
+		os.Exit(1)
 	}
-	serial := time.Since(t0) / 5
-	want := k.Checksum()
+	fmt.Println("end state bit-identical to the serial run")
+}
 
-	k.Reset()
-	t0 = time.Now()
-	for r := 0; r < 5; r++ {
-		k.RunParallel(sched.Options{Workers: workers})
+// run executes b's corpus workload on the VM with the plan of the full
+// analysis attached.
+func run(b *corpus.Benchmark, workers int) (*corpus.Work, interp.Stats) {
+	w := corpus.NewWork(b, corpus.ScaleBench)
+	m, err := w.NewMachine(workers)
+	if err != nil {
+		log.Fatal(err)
 	}
-	par := time.Since(t0) / 5
-	got := k.Checksum()
+	if err := w.Run(m); err != nil {
+		log.Fatal(err)
+	}
+	return w, m.Stats
+}
 
-	fmt.Printf("\nnative AMG matvec (%s, %d rows): serial %v, %d-worker %v (%.2fx)\n",
-		grid.Name, 34*34*34, serial, workers, par, float64(serial)/float64(par))
-	fmt.Printf("checksum serial run == parallel run: %v\n", want == got)
+// sameState reports whether two runs left every array bit-identical.
+func sameState(a, b *corpus.Work) bool {
+	for name, x := range a.Arrays {
+		y := b.Arrays[name]
+		if !slices.Equal(x.Ints, y.Ints) || len(x.Flts) != len(y.Flts) {
+			return false
+		}
+		for i, v := range x.Flts {
+			if math.Float64bits(v) != math.Float64bits(y.Flts[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro"
 )
@@ -75,4 +76,7 @@ func main() {
 	}
 	fmt.Printf("\nverification: %d intermittent writes, parallel-vs-serial max diff = %g\n",
 		placed, worst)
+	if worst != 0 {
+		os.Exit(1)
+	}
 }

@@ -1,48 +1,76 @@
-// SDDMM with static vs dynamic scheduling (paper Figure 16): the skewed
-// column occupancy of the input matrix makes OpenMP-style static chunking
-// imbalanced, while dynamic scheduling load-balances it. Runs the real
-// kernel on the available cores and the calibrated 4/8/16-core simulation.
+// SDDMM (paper Figures 10, 11 and 16): the plan that parallelizes the
+// column loop, checked on real data — the corpus workload runs on the
+// VM serially and on every core, and the example exits nonzero unless
+// both runs reach bit-identical end states — and the calibrated
+// 4/8/16-core simulation of static vs dynamic scheduling: the skewed
+// column occupancy of the input matrices makes OpenMP-style static
+// chunking imbalanced, while dynamic scheduling load-balances it.
 package main
 
 import (
 	"fmt"
+	"log"
+	"math"
 	"os"
 	"runtime"
-	"time"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/corpus"
-	"repro/internal/kernels"
+	"repro/internal/interp"
 	"repro/internal/phase2"
-	"repro/internal/sched"
-	"repro/internal/sparse"
 )
 
 func main() {
-	// A skewed (gsm_106857-like) and a balanced (af_shell1-like) input.
-	skewed := sparse.Dataset{Name: "skewed", Rows: 2000, Cols: 2000, MeanNNZ: 24, Shape: sparse.Skewed, Seed: 1}
-	balanced := sparse.Dataset{Name: "balanced", Rows: 2000, Cols: 2000, MeanNNZ: 24, Shape: sparse.Balanced, Seed: 2}
-	workers := runtime.GOMAXPROCS(0)
+	// The analysis side: the plan that justifies the parallel column loop.
+	b := corpus.SDDMM
+	plan := corpus.PlanFor(b, phase2.LevelNew)
+	fmt.Println("plan summary:")
+	fmt.Print(plan.Summary())
 
-	fmt.Printf("real execution on %d workers:\n", workers)
-	for _, d := range []sparse.Dataset{skewed, balanced} {
-		k := kernels.NewSDDMMRank(d, 128)
-		measure := func(policy sched.Policy) time.Duration {
-			k.Reset()
-			t0 := time.Now()
-			k.RunParallel(sched.Options{Workers: workers, Policy: policy, Chunk: 1})
-			return time.Since(t0)
-		}
-		st := measure(sched.Static)
-		dy := measure(sched.Dynamic)
-		fmt.Printf("  %-9s static %8v   dynamic %8v\n", d.Name, st, dy)
+	// The plan on real data: the corpus workload (sddmm_fill, then
+	// sddmm) on the VM, serially and on every core.
+	workers := max(runtime.GOMAXPROCS(0), 2) // two on one core, so the region runs
+	serial, _ := run(b, 1)
+	par, stats := run(b, workers)
+	fmt.Printf("\nVM, %d workers: %d parallel regions, %d fallbacks\n",
+		workers, stats.ParallelRegions, stats.RuntimeFallback)
+	if !sameState(serial, par) {
+		fmt.Println("end state differs from the serial run")
+		os.Exit(1)
 	}
+	fmt.Println("end state bit-identical to the serial run")
 
 	fmt.Println("\ncalibrated 4/8/16-core simulation (Figure 16 reproduction):")
 	bench.New(os.Stdout, true).Fig16()
+}
 
-	// The analysis side: the plan that justifies the parallel column loop.
-	plan := corpus.PlanFor(corpus.SDDMM, phase2.LevelNew)
-	fmt.Println("\nplan summary:")
-	fmt.Print(plan.Summary())
+// run executes b's corpus workload on the VM with the plan of the full
+// analysis attached.
+func run(b *corpus.Benchmark, workers int) (*corpus.Work, interp.Stats) {
+	w := corpus.NewWork(b, corpus.ScaleBench)
+	m, err := w.NewMachine(workers)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := w.Run(m); err != nil {
+		log.Fatal(err)
+	}
+	return w, m.Stats
+}
+
+// sameState reports whether two runs left every array bit-identical.
+func sameState(a, b *corpus.Work) bool {
+	for name, x := range a.Arrays {
+		y := b.Arrays[name]
+		if !slices.Equal(x.Ints, y.Ints) || len(x.Flts) != len(y.Flts) {
+			return false
+		}
+		for i, v := range x.Flts {
+			if math.Float64bits(v) != math.Float64bits(y.Flts[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"sort"
 
 	"repro/internal/cminus"
@@ -69,4 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nverification over %d elements: parallel-vs-serial max diff = %g\n", lelt, worst)
+	if worst != 0 {
+		os.Exit(1)
+	}
 }

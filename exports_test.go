@@ -39,6 +39,7 @@ var uncalledAllowed = map[string]string{
 	"repro/internal/faults.Panic":              "failpoint hook: tests arm it to inject a panic",
 	"repro/internal/faults.Stall":              "failpoint hook: tests arm it to inject a stall",
 	"repro/internal/faults.ExhaustBudget":      "failpoint hook: tests arm it to inject budget exhaustion",
+	"repro/internal/faults.Action.For":         "failpoint hook: restricts an armed action to hits with one detail",
 	"repro/internal/faults.Action.Times":       "failpoint hook: bounds how often an armed action fires",
 	"repro/internal/faults.Action.Forever":     "failpoint hook: makes an armed action fire on every hit",
 	"repro/internal/core.Result.ParallelLoops": "public API through subsub.Result, shown in example_test.go",

@@ -64,13 +64,14 @@ func Calibrate(quick bool) simcore.Calibration {
 	// Fork-join overhead (one parallel region on a warm runtime).
 	fj := sched.MeasureForkJoin(2, 32).Seconds()
 
-	// Dynamic dispatch: per-chunk cost of the dynamic scheduler.
+	// Dynamic dispatch: per-chunk cost of the dynamic scheduler, one
+	// iteration per chunk and an empty body.
 	n := 20000
 	if quick {
 		n = 2000
 	}
 	t0 = time.Now()
-	sched.For(n, sched.Options{Workers: 2, Policy: sched.Dynamic, Chunk: 1}, func(int) {})
+	sched.ParallelLoop(int64(n), 2, 1, func(int) {}, func(int, int64, int64) bool { return true })
 	dispatch := time.Since(t0).Seconds() / float64(n)
 
 	return simcore.Calibration{
@@ -226,7 +227,7 @@ func innerParallelTime(m simcore.Machine, iters []kernels.OuterIter, memFrac flo
 // and schedule, applying the roofline split between compute (which scales
 // with cores and scheduling) and memory-bound work (which scales to
 // bandwidth saturation).
-func (h *Harness) timeFor(k kernels.Kernel, level corpus.ParallelismLevel, cores int, policy sched.Policy, chunk int) float64 {
+func (h *Harness) timeFor(k kernels.Kernel, level corpus.ParallelismLevel, cores int, policy simcore.Policy, chunk int) float64 {
 	m := h.Cal.NewMachine(cores)
 	costs := kernels.OuterCosts(k)
 	work := simcore.SerialTime(costs)

@@ -208,15 +208,6 @@ func TestTable1(t *testing.T) {
 	}
 }
 
-// TestValidateKernels: real 2-worker parallel execution of every kernel
-// matches serial.
-func TestValidateKernels(t *testing.T) {
-	h := quickHarness()
-	if worst := h.ValidateKernels(); worst > 1e-9 {
-		t.Errorf("worst checksum divergence %g", worst)
-	}
-}
-
 // TestAchievedReadFromPlans: the strategies fed to the simulator come
 // from the parallelizer, matching the corpus expectations.
 func TestAchievedReadFromPlans(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/phase2"
-	"repro/internal/sched"
 	"repro/internal/simcore"
 
 	"repro/internal/kernels"
@@ -113,8 +112,8 @@ func (h *Harness) Fig13() map[string][]SeriesRow {
 		for _, k := range ks {
 			row := SeriesRow{Benchmark: name, Dataset: k.Dataset()}
 			for _, cores := range Cores {
-				tWith := h.timeFor(k, with, cores, sched.Static, 0)
-				tWithout := h.timeFor(k, without, cores, sched.Static, 0)
+				tWith := h.timeFor(k, with, cores, simcore.Static, 0)
+				tWithout := h.timeFor(k, without, cores, simcore.Static, 0)
 				row.Values = append(row.Values, tWithout/tWith)
 			}
 			out[name] = append(out[name], row)
@@ -134,7 +133,7 @@ func (h *Harness) Fig14() map[string][]SeriesRow {
 			row := SeriesRow{Benchmark: name, Dataset: k.Dataset()}
 			serial := simcore.SerialTime(kernels.OuterCosts(k))
 			for _, cores := range Cores {
-				t := h.timeFor(k, with, cores, sched.Static, 0)
+				t := h.timeFor(k, with, cores, simcore.Static, 0)
 				row.Values = append(row.Values, serial/t)
 			}
 			out[name] = append(out[name], row)
@@ -153,7 +152,7 @@ func (h *Harness) Fig15() map[string][]SeriesRow {
 			row := SeriesRow{Benchmark: name, Dataset: k.Dataset()}
 			serial := simcore.SerialTime(kernels.OuterCosts(k))
 			for _, cores := range Cores {
-				t := h.timeFor(k, with, cores, sched.Static, 0)
+				t := h.timeFor(k, with, cores, simcore.Static, 0)
 				row.Values = append(row.Values, 100*serial/t/float64(cores))
 			}
 			out[name] = append(out[name], row)
@@ -177,8 +176,8 @@ func (h *Harness) Fig16() []Fig16Row {
 	for _, k := range h.sddmmKernels() {
 		serial := simcore.SerialTime(kernels.OuterCosts(k))
 		for _, cores := range Cores {
-			st := h.timeFor(k, corpus.Outer, cores, sched.Static, 0)
-			dy := h.timeFor(k, corpus.Outer, cores, sched.Dynamic, 1)
+			st := h.timeFor(k, corpus.Outer, cores, simcore.Static, 0)
+			dy := h.timeFor(k, corpus.Outer, cores, simcore.Dynamic, 1)
 			rows = append(rows, Fig16Row{
 				Dataset: k.Dataset(),
 				Cores:   cores,
@@ -213,7 +212,7 @@ func (h *Harness) Fig17() []Fig17Row {
 		levels := achieved(b)
 		serial := simcore.SerialTime(kernels.OuterCosts(k))
 		timeAt := func(level corpus.ParallelismLevel) float64 {
-			return serial / h.timeFor(k, level, 16, sched.Static, 0)
+			return serial / h.timeFor(k, level, 16, simcore.Static, 0)
 		}
 		rows = append(rows, Fig17Row{
 			Benchmark: b.Name,
@@ -250,57 +249,4 @@ func (h *Harness) printSeries(title string, data map[string][]SeriesRow, unit st
 			h.printf("\n")
 		}
 	}
-}
-
-// ValidateKernels runs every Experiment kernel serially and in parallel
-// (2 real workers) and reports the worst relative checksum difference —
-// the executable soundness check for the simulated strategies.
-func (h *Harness) ValidateKernels() float64 {
-	var worst float64
-	check := func(k kernels.Kernel) {
-		k.Reset()
-		k.RunSerial()
-		want := k.Checksum()
-		k.Reset()
-		k.RunParallel(sched.Options{Workers: 2})
-		got := k.Checksum()
-		d := relAbs(got, want)
-		if d > worst {
-			worst = d
-		}
-	}
-	for _, k := range h.amgKernels() {
-		check(k)
-	}
-	for _, k := range h.sddmmKernels() {
-		check(k)
-	}
-	for _, k := range h.uaKernels() {
-		check(k)
-	}
-	for _, b := range corpus.All() {
-		check(h.experiment2Kernel(b.Name))
-	}
-	return worst
-}
-
-func relAbs(a, b float64) float64 {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	scale := a
-	if scale < 0 {
-		scale = -scale
-	}
-	if b > scale {
-		scale = b
-	}
-	if -b > scale {
-		scale = -b
-	}
-	if scale == 0 {
-		return d
-	}
-	return d / scale
 }

@@ -73,11 +73,16 @@ func TestGoldenEmit(t *testing.T) {
 }
 
 // TestEmitAllKernels emits every corpus kernel (no builds) and asserts
-// the output is gofmt-clean, and the guard file internal/guard's
-// guard.go byte for byte apart from its package clause — the cheap
-// always-on sanity companion to the slow differential gate.
+// the output is gofmt-clean, the guard file internal/guard's guard.go
+// and the loop file internal/sched's loop.go, each byte for byte apart
+// from its package clause — the cheap always-on sanity companion to the
+// slow differential gate.
 func TestEmitAllKernels(t *testing.T) {
 	guardSrc, err := os.ReadFile(filepath.Join("..", "guard", "guard.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loopSrc, err := os.ReadFile(filepath.Join("..", "sched", "loop.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +97,7 @@ func TestEmitAllKernels(t *testing.T) {
 			for _, f := range []struct {
 				name string
 				src  []byte
-			}{{"prog.go", pkg.ProgGo}, {"subsubrt.go", pkg.RuntimeGo}, {"guard.go", pkg.GuardGo}} {
+			}{{"prog.go", pkg.ProgGo}, {"subsubrt.go", pkg.RuntimeGo}, {"guard.go", pkg.GuardGo}, {"loop.go", pkg.LoopGo}} {
 				formatted, err := format.Source(f.src)
 				if err != nil {
 					t.Fatalf("%s does not parse: %v", f.name, err)
@@ -101,10 +106,18 @@ func TestEmitAllKernels(t *testing.T) {
 					t.Errorf("%s is not gofmt-clean", f.name)
 				}
 			}
-			clause := []byte("package main\n")
-			if !bytes.HasPrefix(pkg.GuardGo, clause) ||
-				!bytes.Equal(bytes.Replace(pkg.GuardGo, clause, []byte("package guard\n"), 1), guardSrc) {
-				t.Error("guard.go differs from internal/guard/guard.go beyond its package clause")
+			for _, f := range []struct {
+				name, pkgName string
+				emitted, src  []byte
+			}{{"guard.go", "guard", pkg.GuardGo, guardSrc}, {"loop.go", "sched", pkg.LoopGo, loopSrc}} {
+				clause := []byte("package main\n")
+				if !bytes.HasPrefix(f.emitted, clause) ||
+					!bytes.Equal(bytes.Replace(f.emitted, clause, []byte("package "+f.pkgName+"\n"), 1), f.src) {
+					t.Errorf("%s differs from internal/%s/%s beyond its package clause", f.name, f.pkgName, f.name)
+				}
+			}
+			if bytes.Contains(pkg.ProgGo, []byte("sync.WaitGroup")) || bytes.Contains(pkg.ProgGo, []byte("go func")) {
+				t.Error("prog.go fans out by itself instead of calling ParallelLoop")
 			}
 		})
 	}

@@ -124,6 +124,7 @@ func (p *Package) WritePackage(dir string) error {
 		{"prog.go", p.ProgGo},
 		{"subsubrt.go", p.RuntimeGo},
 		{"guard.go", p.GuardGo},
+		{"loop.go", p.LoopGo},
 		{"go.mod", p.GoMod},
 	} {
 		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {

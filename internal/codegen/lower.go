@@ -543,13 +543,13 @@ func hasContinue(b *cminus.Block) bool {
 	return found
 }
 
-// lowerParallelFor emits the chunked goroutine dispatch for a plan-
-// chosen loop, replicating the interpreter's execParallelFor semantics
-// bit for bit: entry checks and guards with serial fallback, workers
-// clamped to the trip count, static chunks of ceil(n/w), per-worker
+// lowerParallelFor emits the parallel region for a plan-chosen loop,
+// replicating the interpreter's execParallelFor semantics bit for bit:
+// entry checks and guards with serial fallback, workers clamped to the
+// trip count, ParallelLoop's static chunks of ceil(n/w), per-worker
 // reduction partials initialized to the operator identity and combined
-// in worker order (skipping empty chunks), and the loop variable left
-// at n afterwards.
+// in worker order (skipping workers that ran no block), and the loop
+// variable left at n afterwards.
 func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) error {
 	d := lp.Decision
 	ivar, nx, err := parallelize.Canonical(x)
@@ -652,13 +652,16 @@ func (fg *fnGen) lowerGuards(d *depend.Decision) ([]string, error) {
 	return out, nil
 }
 
-// lowerDispatch emits the goroutine fan-out inside a passed guard.
+// lowerDispatch emits the fan-out inside a passed guard: one call of
+// ParallelLoop, which every emitted module carries (LoopGo), on the
+// static schedule. Its setup marks the workers that ran, and the
+// reduction combine skips the others, as the VM skips workers whose
+// frame was never set up.
 func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivar string, ivSym symInfo) error {
 	fg.line("rtW := rtWorkers")
 	fg.line("if int64(rtW) > rtN {")
 	fg.line("\trtW = int(rtN)")
 	fg.line("}")
-	fg.line("rtPer := (rtN + int64(rtW) - 1) / int64(rtW)")
 
 	// Reduction partial slices, one element per worker, initialized to
 	// the operator identity (0 for +, 1 for *).
@@ -676,22 +679,14 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivar strin
 			fg.line("}")
 		}
 	}
+	setup := "func(int) {}"
+	if len(reds) > 0 {
+		fg.line("rtRan := make([]bool, rtW)")
+		setup = "func(rtWi int) { rtRan[rtWi] = true }"
+	}
 
-	fg.line("var rtWg sync.WaitGroup")
-	fg.line("for rtWi := 0; rtWi < rtW; rtWi++ {")
+	fg.line("ParallelLoop(rtN, rtW, 0, %s, func(rtWi int, rtStart, rtEnd int64) bool {", setup)
 	fg.depth++
-	fg.line("rtStart := int64(rtWi) * rtPer")
-	fg.line("rtEnd := rtStart + rtPer")
-	fg.line("if rtEnd > rtN {")
-	fg.line("\trtEnd = rtN")
-	fg.line("}")
-	fg.line("if rtStart >= rtEnd {")
-	fg.line("\tcontinue")
-	fg.line("}")
-	fg.line("rtWg.Add(1)")
-	fg.line("go func(rtWi int, rtStart, rtEnd int64) {")
-	fg.depth++
-	fg.line("defer rtWg.Done()")
 
 	// Worker-local state: privates and reduction accumulators shadow
 	// the captured outer variables; the loop index is a fresh local.
@@ -743,21 +738,19 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivar strin
 		sym, _ := fg.lookup(r.name)
 		fg.line("rtRed_%s[rtWi] = %s", sym.goName, sym.goName)
 	}
+	fg.line("return true")
 	fg.pop()
 	fg.depth--
-	fg.line("}(rtWi, rtStart, rtEnd)")
-	fg.depth--
-	fg.line("}")
-	fg.line("rtWg.Wait()")
+	fg.line("})")
 
 	// Combine partials into the shared variable in worker order,
-	// skipping workers whose chunk was empty — adding an untouched
-	// identity cell could still flip -0.0 to +0.0.
+	// skipping workers that ran no block — adding an untouched identity
+	// cell could still flip -0.0 to +0.0.
 	for _, r := range reds {
 		sym, _ := fg.lookup(r.name)
 		fg.line("for rtWi := 0; rtWi < rtW; rtWi++ {")
 		fg.depth++
-		fg.line("if int64(rtWi)*rtPer >= rtN {")
+		fg.line("if !rtRan[rtWi] {")
 		fg.line("\tcontinue")
 		fg.line("}")
 		part := atom(fmt.Sprintf("rtRed_%s[rtWi]", sym.goName), sym.t)
@@ -769,7 +762,6 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivar strin
 		fg.depth--
 		fg.line("}")
 	}
-	fg.g.usesSync = true
 	return nil
 }
 

@@ -231,7 +231,7 @@ func AnalyzeBatch(sources []Source, opt Options) []*BatchResult {
 		workers = 1
 	}
 	tr := opt.Trace
-	sched.ForTraced(len(sources), sched.Options{Workers: workers}, tr, opt.TraceParent, func(i int, wsp trace.SpanID) {
+	sched.ForTraced(len(sources), workers, tr, opt.TraceParent, func(i int, wsp trace.SpanID) {
 		s := sources[i]
 		o := opt
 		if s.Opt != nil {

@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"repro/internal/sched"
-	"repro/internal/sparse"
-)
+import "repro/internal/sparse"
 
 // AMG is the AMGmk sparse matvec over nonzero rows (paper Figure 8): the
 // subscripted-subscript kernel y[A_rownnz[i]] += row_i · x.
@@ -70,21 +67,6 @@ func (k *AMG) RunSerial() {
 	for i := range k.rownnz {
 		k.row(i)
 	}
-}
-
-// RunParallel implements Kernel: the outer row loop runs parallel — valid
-// because A_rownnz is strictly monotonic (injective).
-func (k *AMG) RunParallel(opt sched.Options) {
-	sched.For(len(k.rownnz), opt, k.row)
-}
-
-// Checksum implements Kernel.
-func (k *AMG) Checksum() float64 {
-	var s float64
-	for _, v := range k.y {
-		s += v
-	}
-	return s
 }
 
 // Reset implements Kernel.

@@ -1,15 +1,15 @@
 // Package kernels provides native Go implementations of the twelve
-// benchmark kernels of Table 1. Each kernel executes for real (serial or
-// on the goroutine runtime of internal/sched, used for correctness
-// validation and wall-clock calibration) and exposes a per-outer-iteration
-// work model consumed by the multicore simulator (internal/simcore) to
-// produce the 4/8/16-core series of Figures 13-16 (see DESIGN.md §4.3).
+// benchmark kernels of Table 1. Each kernel runs serially for real (Table
+// 1's measured times and the calibration's seconds-per-unit rate) and
+// exposes a per-outer-iteration work model consumed by the multicore
+// simulator (internal/simcore) to produce the 4/8/16-core series of
+// Figures 13-16 (see DESIGN.md §4.3). The kernels' tests pin each one to
+// the corpus program the analyzer analyzes: on the same input, the
+// program's serial VM run must reach the kernel's end state.
 //
 // Work units are abstract (≈ one inner-loop floating-point update); the
 // bench harness calibrates units→seconds from a measured serial run.
 package kernels
-
-import "repro/internal/sched"
 
 // Region is one parallelizable inner region of an outer iteration: its
 // total work and its trip count (which bounds achievable parallelism).
@@ -46,10 +46,6 @@ type Kernel interface {
 	Iters() []OuterIter
 	// RunSerial executes one serial sweep.
 	RunSerial()
-	// RunParallel executes one sweep with the outermost loop parallel.
-	RunParallel(opt sched.Options)
-	// Checksum summarizes the output state for validation.
-	Checksum() float64
 	// MemFrac is the fraction of the kernel's work that is
 	// memory-bandwidth-bound (the roofline split used by the simulator).
 	MemFrac() float64

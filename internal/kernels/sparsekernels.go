@@ -3,7 +3,6 @@ package kernels
 import (
 	"math"
 
-	"repro/internal/sched"
 	"repro/internal/sparse"
 )
 
@@ -71,21 +70,6 @@ func (k *CHOLMOD) RunSerial() {
 	}
 }
 
-// RunParallel implements Kernel: supernode blocks are disjoint because
-// Lpx is monotonic.
-func (k *CHOLMOD) RunParallel(opt sched.Options) {
-	sched.For(len(k.lpx)-1, opt, k.super)
-}
-
-// Checksum implements Kernel.
-func (k *CHOLMOD) Checksum() float64 {
-	var s float64
-	for _, v := range k.lx {
-		s += v
-	}
-	return s
-}
-
 // Reset implements Kernel.
 func (k *CHOLMOD) Reset() { copy(k.lx, k.lx0) }
 
@@ -144,20 +128,6 @@ func (k *CG) RunSerial() {
 	}
 }
 
-// RunParallel implements Kernel.
-func (k *CG) RunParallel(opt sched.Options) {
-	sched.For(k.mat.Rows, opt, k.row)
-}
-
-// Checksum implements Kernel.
-func (k *CG) Checksum() float64 {
-	var s float64
-	for _, v := range k.w {
-		s += v
-	}
-	return s
-}
-
 // MemFrac implements Kernel: CSR matvec is memory-bound.
 func (k *CG) MemFrac() float64 { return 0.8 }
 
@@ -211,20 +181,6 @@ func (k *IS) RunSerial() {
 	for _, key := range k.keys {
 		k.buff[key]++
 	}
-}
-
-// RunParallel implements Kernel. The histogram cannot be parallelized
-// without synchronization; no plan ever selects it, so parallel execution
-// falls back to serial.
-func (k *IS) RunParallel(opt sched.Options) { k.RunSerial() }
-
-// Checksum implements Kernel.
-func (k *IS) Checksum() float64 {
-	var s float64
-	for i, v := range k.buff {
-		s += float64(v) * float64(i+1)
-	}
-	return s
 }
 
 // MemFrac implements Kernel: random histogram updates are memory-bound.
@@ -288,21 +244,6 @@ func (k *IC) RunSerial() {
 			k.diag[col] += k.val[p] * k.val[p]
 		}
 	}
-}
-
-// RunParallel implements Kernel (never parallelized; runs serial).
-func (k *IC) RunParallel(opt sched.Options) { k.RunSerial() }
-
-// Checksum implements Kernel.
-func (k *IC) Checksum() float64 {
-	var s float64
-	for _, v := range k.val {
-		s += v
-	}
-	for _, v := range k.diag {
-		s += v
-	}
-	return s
 }
 
 // MemFrac implements Kernel.

@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"repro/internal/sched"
-	"repro/internal/sparse"
-)
+import "repro/internal/sparse"
 
 // UA is the transf kernel of the NPB Unstructured Adaptive benchmark
 // (paper Figure 12): a scatter of mortar-point contributions through the
@@ -92,21 +89,6 @@ func (k *UA) RunSerial() {
 	for iel := 0; iel < k.lelt; iel++ {
 		k.element(iel)
 	}
-}
-
-// RunParallel implements Kernel: elements write disjoint 125-point blocks
-// (idel's strict range monotonicity), so the element loop is parallel.
-func (k *UA) RunParallel(opt sched.Options) {
-	sched.For(k.lelt, opt, k.element)
-}
-
-// Checksum implements Kernel.
-func (k *UA) Checksum() float64 {
-	var s float64
-	for _, v := range k.tx {
-		s += v
-	}
-	return s
 }
 
 // Reset implements Kernel.

@@ -254,8 +254,8 @@ func Run(prog *cminus.Program, level phase2.Level, opts *Options) *Plan {
 	// Pass 1: array analysis over every function, fanned out over the
 	// worker pool. Each worker analyzes into its own pushed range scope
 	// and its own property database, so the analyses are independent; the
-	// shared parent dictionary is only read. sched.For runs jobs on raw
-	// goroutines, so the guard must live inside the job closure: an
+	// shared parent dictionary is only read. sched.ForTraced runs jobs on
+	// raw goroutines, so the guard must live inside the job closure: an
 	// uncontained panic there would kill the process.
 	var funcs []*cminus.FuncDecl
 	for _, fn := range prog.Funcs {
@@ -289,7 +289,7 @@ func Run(prog *cminus.Program, level phase2.Level, opts *Options) *Plan {
 	}
 
 	pass1 := tr.Start(opts.TraceParent, "pass1")
-	sched.ForTraced(len(funcs), sched.Options{Workers: workers}, tr, pass1, func(i int, wsp trace.SpanID) {
+	sched.ForTraced(len(funcs), workers, tr, pass1, func(i int, wsp trace.SpanID) {
 		if cachedFA[i] {
 			return
 		}
@@ -409,7 +409,7 @@ func Run(prog *cminus.Program, level phase2.Level, opts *Options) *Plan {
 	planned := make([]map[string]*LoopPlan, len(jobs))
 	planErrs := make([]error, len(jobs))
 	pass2 := tr.Start(opts.TraceParent, "pass2")
-	sched.ForTraced(len(jobs), sched.Options{Workers: workers}, tr, pass2, func(i int, wsp trace.SpanID) {
+	sched.ForTraced(len(jobs), workers, tr, pass2, func(i int, wsp trace.SpanID) {
 		planErrs[i] = budget.Guard(func() {
 			jobTester := tester
 			if tr.Enabled() {

@@ -18,7 +18,7 @@ func TestForTracedParallelLinkage(t *testing.T) {
 	var mu sync.Mutex
 	hits := make([]int, n)
 	bodySpan := make([]trace.SpanID, n)
-	ForTraced(n, Options{Workers: 4}, r, parent, func(i int, sp trace.SpanID) {
+	ForTraced(n, 4, r, parent, func(i int, sp trace.SpanID) {
 		mu.Lock()
 		hits[i]++
 		bodySpan[i] = sp
@@ -58,7 +58,7 @@ func TestForTracedParallelLinkage(t *testing.T) {
 func TestForTracedSerialPassesParent(t *testing.T) {
 	r := trace.NewRecorder()
 	parent := r.Start(0, "pass2")
-	ForTraced(3, Options{Workers: 1}, r, parent, func(i int, sp trace.SpanID) {
+	ForTraced(3, 1, r, parent, func(i int, sp trace.SpanID) {
 		if sp != parent {
 			t.Fatalf("serial body got span %d, want parent %d", sp, parent)
 		}
@@ -74,7 +74,7 @@ func TestForTracedSerialPassesParent(t *testing.T) {
 func TestForTracedNilRecorder(t *testing.T) {
 	var mu sync.Mutex
 	sum := 0
-	ForTraced(10, Options{Workers: 3}, nil, 0, func(i int, sp trace.SpanID) {
+	ForTraced(10, 3, nil, 0, func(i int, sp trace.SpanID) {
 		if sp != 0 {
 			t.Errorf("nil recorder body got span %d", sp)
 		}

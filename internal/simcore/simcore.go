@@ -7,16 +7,30 @@
 // costs: it reproduces exactly the effects the paper attributes its shapes
 // to — fork-join overhead multiplied by outer-iteration count for
 // inner-loop parallelization, load imbalance under static scheduling of
-// skewed sparse structures, and scheduling-policy differences — while real
-// goroutine execution (internal/sched) validates correctness and provides
-// the calibration constants.
+// skewed sparse structures, and scheduling-policy differences — while
+// real goroutine timings (internal/sched) provide the calibration
+// constants.
 //
 // Costs are in abstract work units; the calibration maps units to seconds
 // via a measured serial rate, and fork-join/dispatch overheads via
-// sched.MeasureForkJoin.
+// sched.MeasureForkJoin and a timed sched.ParallelLoop.
 package simcore
 
-import "repro/internal/sched"
+// Policy selects the simulated loop schedule.
+type Policy int
+
+// Scheduling policies (mirroring OpenMP's static and dynamic).
+const (
+	Static Policy = iota
+	Dynamic
+)
+
+func (p Policy) String() string {
+	if p == Dynamic {
+		return "dynamic"
+	}
+	return "static"
+}
 
 // Machine is a simulated multicore.
 type Machine struct {
@@ -170,8 +184,8 @@ func (m Machine) DynamicTime(costs []float64, chunk int) float64 {
 }
 
 // Schedule selects between StaticTime and DynamicTime.
-func (m Machine) Schedule(policy sched.Policy, costs []float64, chunk int) float64 {
-	if policy == sched.Dynamic {
+func (m Machine) Schedule(policy Policy, costs []float64, chunk int) float64 {
+	if policy == Dynamic {
 		return m.DynamicTime(costs, chunk)
 	}
 	return m.StaticTime(costs)

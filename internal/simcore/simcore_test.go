@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sched"
 )
 
 func uniformCosts(n int, c float64) []float64 {
@@ -117,10 +115,16 @@ func TestQuickDynamicBeatsStaticOnSkew(t *testing.T) {
 func TestScheduleDispatch(t *testing.T) {
 	m := Machine{Cores: 2, Dispatch: 5}
 	costs := uniformCosts(10, 1)
-	st := m.Schedule(sched.Static, costs, 1)
-	dt := m.Schedule(sched.Dynamic, costs, 1)
+	st := m.Schedule(Static, costs, 1)
+	dt := m.Schedule(Dynamic, costs, 1)
 	if dt <= st {
 		t.Errorf("dispatch overhead should make dynamic slower on uniform work: %g vs %g", dt, st)
+	}
+}
+
+func TestPolicyString(t *testing.T) {
+	if Static.String() != "static" || Dynamic.String() != "dynamic" {
+		t.Error("policy names")
 	}
 }
 
