@@ -2,16 +2,21 @@
 #
 #   make check   — the full pre-merge gate: fmt + vet + build (including
 #                  the subsubd daemon) + tests + race detector +
-#                  one-iteration bench smoke + daemon serve smoke
+#                  one-iteration bench smoke + daemon serve smoke +
+#                  examples smoke
 #   make fmt     — fail if any file is not gofmt-clean
 #   make race    — go test -race ./... (the concurrent driver, the
-#                  sharded symbolic cache, sched.ParallelLoop, on which
-#                  the tree walker and the VM run parallel regions, and
-#                  the serving layer must stay race-clean)
+#                  sharded symbolic cache, sched.ParallelLoop — the one
+#                  parallel-for: the tree walker, the VM, the analysis
+#                  job pool and, through its copy, the emitted Go run on
+#                  it — and the serving layer must stay race-clean)
 #   make serve-smoke — start the subsubd daemon, fire one request from
 #                  examples/daemon over real loopback HTTP twice (miss
 #                  then content-addressed hit), validate the JSON and
 #                  /metrics, and shut down gracefully
+#   make examples-smoke — run quickstart, amgmk, sddmm and uatransf end
+#                  to end; each exits nonzero when its parallel run
+#                  does not reach its serial run's end state
 #   make fuzz-smoke — 5s each of whole-pipeline fuzz (FuzzAnalyze),
 #                  tree-vs-VM execution fuzz (FuzzVMDifferential), the
 #                  simplifier and its memo keys (FuzzSimplify) and the
@@ -48,7 +53,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test race check fuzz fuzz-smoke fault-e2e chaos-e2e bench perfbench benchsmoke serve-smoke trace-smoke property-soundness codegen-differential incr-differential experiments
+.PHONY: build fmt vet test race check examples-smoke fuzz fuzz-smoke fault-e2e chaos-e2e bench perfbench benchsmoke serve-smoke trace-smoke property-soundness codegen-differential incr-differential experiments
 
 build:
 	$(GO) build ./...
@@ -103,6 +108,16 @@ trace-smoke:
 		grep -q "\"cat\": \"$$stage\"" "$$tmp" || { echo "trace-smoke: no $$stage span" >&2; exit 1; }; \
 	done; \
 	echo "trace-smoke ok"
+
+# Examples smoke: run the examples, not just compile them. amgmk and
+# sddmm run their corpus workload on the VM serially and on every core
+# and compare the end states bit for bit; quickstart and uatransf check
+# their parallel loop against the serial one through Result.Verify.
+examples-smoke:
+	@for e in quickstart amgmk sddmm uatransf; do \
+		$(GO) run ./examples/$$e >/dev/null || { echo "examples-smoke: $$e failed" >&2; exit 1; }; \
+	done; \
+	echo "examples-smoke ok"
 
 # Fuzz smoke: the whole pipeline (parse → analyze → re-analyze
 # annotated output under a step budget and deadline), then execution,
@@ -168,7 +183,7 @@ incr-differential:
 	$(GO) test -race -run 'TestIncr' \
 		./internal/incr/ ./internal/core/ ./internal/server/
 
-check: fmt vet build test race benchsmoke vm-differential codegen-differential serve-smoke trace-smoke fuzz-smoke property-soundness fault-e2e chaos-e2e incr-differential
+check: fmt vet build test race benchsmoke vm-differential codegen-differential serve-smoke trace-smoke examples-smoke fuzz-smoke property-soundness fault-e2e chaos-e2e incr-differential
 
 fuzz:
 	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime 20s ./internal/cminus/
