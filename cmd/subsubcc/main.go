@@ -40,9 +40,9 @@
 //
 // -emit transpiles each analyzed file to a runnable parallel Go main
 // package under the given directory (one subdirectory per source,
-// internal/codegen): plan-chosen loops become chunked goroutine
-// dispatch behind the decision's runtime checks and array guards, with
-// a serial fallback. Emission is all-or-nothing: if any file's analysis
+// internal/codegen): plan-chosen loops become calls of ParallelLoop, a
+// copy of internal/sched/loop.go, behind the decision's runtime checks
+// and array guards, with a serial fallback. Emission is all-or-nothing: if any file's analysis
 // failed or produced diagnostics, nothing is emitted, the offending
 // files are listed per file on stderr, and the exit status is 1 —
 // the same convention batch analysis errors follow.
