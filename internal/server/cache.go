@@ -5,16 +5,30 @@ package server
 // under the SHA-256 of that pair can be replayed forever: there is no TTL
 // and no invalidation problem, only capacity. Capacity is bounded two
 // ways (entry count and total body bytes) with LRU eviction.
+//
+// A second index finds an entry by the SHA-256 of the raw request body
+// it last answered, so a byte-identical resubmit is served before it is
+// decoded. Each entry holds at most one such digest and relinking or
+// evicting it drops the old one, so the index never outgrows the entry
+// map; the request bodies themselves are not kept.
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 )
 
+// bodyDigest is the SHA-256 of a raw request body.
+type bodyDigest = [sha256.Size]byte
+
 type cacheEntry struct {
 	key  string
 	body []byte
+	// digest is the last request body this entry answered; linked says
+	// whether byDigest holds it.
+	digest bodyDigest
+	linked bool
 }
 
 // resultCache is a bounded LRU from content hash to encoded response.
@@ -24,6 +38,7 @@ type resultCache struct {
 	maxBytes   int64
 	ll         *list.List // front = most recently used
 	m          map[string]*list.Element
+	byDigest   map[bodyDigest]*list.Element
 	bytes      int64
 
 	hits      atomic.Int64
@@ -37,6 +52,7 @@ func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 		maxBytes:   maxBytes,
 		ll:         list.New(),
 		m:          map[string]*list.Element{},
+		byDigest:   map[bodyDigest]*list.Element{},
 	}
 }
 
@@ -55,6 +71,47 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 	}
 	c.hits.Add(1)
 	return el.Value.(*cacheEntry).body, true
+}
+
+// getDigest is get by the digest of a request body linked to an entry.
+// Only a hit is counted: a request that misses here goes on to the keyed
+// get, which counts it.
+func (c *resultCache) getDigest(d bodyDigest) ([]byte, bool) {
+	c.mu.Lock()
+	el, ok := c.byDigest[d]
+	if ok {
+		c.ll.MoveToFront(el)
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	c.hits.Add(1)
+	return el.Value.(*cacheEntry).body, true
+}
+
+// link records that the request body with digest d was answered by the
+// entry stored under key, replacing the digest that entry held before.
+// It does nothing when key has no entry (never cached, or evicted since).
+func (c *resultCache) link(d bodyDigest, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.m[key]
+	if !ok {
+		return
+	}
+	ent := el.Value.(*cacheEntry)
+	c.unlink(ent)
+	ent.digest, ent.linked = d, true
+	c.byDigest[d] = el
+}
+
+// unlink drops ent's digest from the index. Callers hold mu.
+func (c *resultCache) unlink(ent *cacheEntry) {
+	if ent.linked {
+		delete(c.byDigest, ent.digest)
+		ent.linked = false
+	}
 }
 
 // put stores a response body under its content hash, evicting from the LRU
@@ -82,6 +139,7 @@ func (c *resultCache) put(key string, body []byte) {
 		ent := tail.Value.(*cacheEntry)
 		c.ll.Remove(tail)
 		delete(c.m, ent.key)
+		c.unlink(ent)
 		c.bytes -= int64(len(ent.body))
 		c.evictions.Add(1)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 )
@@ -77,5 +78,38 @@ func TestCacheRePutRefreshesRecency(t *testing.T) {
 	}
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a should have survived (refreshed by re-put)")
+	}
+}
+
+// TestCacheDigestLinks: a digest finds the entry it was last linked to,
+// only a digest hit counts, relinking an entry drops its old digest, and
+// eviction drops the evicted entry's digest.
+func TestCacheDigestLinks(t *testing.T) {
+	c := newResultCache(2, 1<<20)
+	d := func(s string) bodyDigest { return sha256.Sum256([]byte(s)) }
+	c.link(d("orphan"), "absent") // no entry: nothing to link
+	c.put("a", []byte("body-a"))
+	c.link(d("a1"), "a")
+	if got, ok := c.getDigest(d("a1")); !ok || string(got) != "body-a" {
+		t.Fatalf("getDigest(a1) = %q, %t", got, ok)
+	}
+	if _, ok := c.getDigest(d("orphan")); ok {
+		t.Fatal("a digest linked to no entry was found")
+	}
+	if st := c.stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("digest lookups counted %+v, want 1 hit and no miss", st)
+	}
+	c.link(d("a2"), "a")
+	if _, ok := c.getDigest(d("a1")); ok {
+		t.Fatal("relinking kept the entry's previous digest")
+	}
+	c.put("b", []byte("body-b"))
+	c.link(d("b1"), "b")
+	c.put("c", []byte("body-c")) // evicts a, the least recently used
+	if _, ok := c.getDigest(d("a2")); ok {
+		t.Fatal("eviction kept the evicted entry's digest")
+	}
+	if len(c.byDigest) > len(c.m) {
+		t.Fatalf("%d digests over %d entries", len(c.byDigest), len(c.m))
 	}
 }

@@ -6,7 +6,8 @@
 //
 //  1. the memory cache — responses stored under the SHA-256 of the
 //     canonicalized request, replayed byte-identically with no TTL (see
-//     cache.go);
+//     cache.go); a body byte-identical to one already answered is found
+//     by the SHA-256 of its raw bytes, before it is decoded;
 //  2. optionally, a crash-safe on-disk result store (internal/store), so
 //     a restarted daemon serves its working set warm;
 //  3. optionally, a peer fill (internal/cluster) — a consistent-hash ring
@@ -47,6 +48,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -607,6 +609,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "request body unreadable or over the size limit", http.StatusRequestEntityTooLarge)
 		return
 	}
+	// A body byte-identical to one already answered replays that answer
+	// undecoded. Only bodies that decoded, normalized and got a 200 are
+	// ever linked (serveAnalyze), so a refused body is refused again.
+	digest := sha256.Sum256(body)
+	if cached, ok := s.cache.getDigest(digest); ok {
+		s.writeAnalysis(w, cached, "hit")
+		return
+	}
 	var req AnalyzeRequest
 	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
 		http.Error(w, "bad request JSON: "+err.Error(), http.StatusBadRequest)
@@ -616,16 +626,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.serveAnalyze(w, r, &req, reqID, isFill, start)
+	s.serveAnalyze(w, r, &req, digest, reqID, isFill, start)
 }
 
 // serveAnalyze serves a normalized request from the first tier that can
 // answer it: the memory cache, the persistent store, then a coalesced
 // leader (peer fill or local analysis under admission control) running
-// to its own detached deadline.
-func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req *AnalyzeRequest, reqID string, isFill bool, start time.Time) {
+// to its own detached deadline. Every 200 links the request body's
+// digest to the entry stored under the canonical key.
+func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req *AnalyzeRequest, digest bodyDigest, reqID string, isFill bool, start time.Time) {
 	key := req.cacheKey()
 	if cached, ok := s.cache.get(key); ok {
+		s.cache.link(digest, key)
 		s.writeAnalysis(w, cached, "hit")
 		return
 	}
@@ -634,6 +646,7 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req *Analy
 	if s.cfg.Store != nil {
 		if stored, ok := s.cfg.Store.Get(key); ok {
 			s.cache.put(key, stored)
+			s.cache.link(digest, key)
 			s.writeAnalysis(w, stored, "disk")
 			return
 		}
@@ -684,6 +697,7 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req *Analy
 				s.met.coalesced.Add(1)
 				state = "coalesced"
 			}
+			s.cache.link(digest, key)
 			s.writeAnalysis(w, out.body, state)
 		}
 	case <-ctx.Done():
@@ -697,9 +711,12 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req *Analy
 
 // writeAnalysis sends the encoded response. The body bytes are identical
 // whether the request was a cache hit, a coalesced follower, or a fresh
-// analysis; X-Subsubd-Cache says which path served it.
+// analysis; X-Subsubd-Cache says which path served it. The declared
+// length keeps net/http from switching a body over its 2 KiB buffer to
+// chunked encoding.
 func (s *Server) writeAnalysis(w http.ResponseWriter, body []byte, state string) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set("X-Subsubd-Cache", state)
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
