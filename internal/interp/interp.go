@@ -29,10 +29,10 @@ type Machine struct {
 	// rejected by Call with the available-engine list.
 	Interp string
 	// Budget, when non-nil, meters VM execution: the bytecode dispatch
-	// loop bills one Step per vmQuantum instructions, so an exhausted
-	// step budget aborts the run (Call returns an error wrapping
-	// budget.ErrBudget) within one quantum. The tree walker does not
-	// consume it.
+	// loop bills one Step per vmQuantum instructions, parallel regions
+	// included, so an exhausted step budget aborts the run (Call returns
+	// an error wrapping budget.ErrBudget) within one quantum per running
+	// worker. The tree walker does not consume it.
 	Budget *budget.B
 	// Trace, when recording, receives compile-bc spans for bytecode
 	// compilation and exec-vm spans for VM runs. Nil-safe.

@@ -87,7 +87,7 @@ func (m *Machine) callVM(name string, args []Arg) (err error) {
 		sp := m.Trace.StartFunc(0, "exec-vm", name)
 		defer m.Trace.End(sp)
 	}
-	m.runSeg(bf, fr, 0)
+	m.runSeg(bf, fr, 0, vmQuantum)
 	return nil
 }
 
@@ -153,12 +153,15 @@ func vmFloatCombine(k int64, a, b float64) float64 {
 // terminator (return, segment end, or a worker break/continue) and
 // returns the control code. The hot loop reads instructions from one
 // contiguous slice and values from typed columns — no interface values,
-// no per-node calls, no allocations.
-func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32) control {
+// no per-node calls, no allocations. meter is the instructions left in
+// the current metering quantum; runSeg returns what is left at the
+// terminator, so a caller running one segment per loop iteration bills
+// the iterations together rather than dropping each one's partial
+// quantum.
+func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, int32) {
 	b := m.Budget
 	code := bf.code
 	ints, flts := fr.ints, fr.flts
-	meter := int32(vmQuantum)
 	for {
 		meter--
 		if meter <= 0 {
@@ -798,7 +801,7 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32) control {
 				}
 			}
 			cal.ret = Value{}
-			m.runSeg(c.callee, cal, 0)
+			m.runSeg(c.callee, cal, 0, vmQuantum)
 			ret := cal.ret
 			c.callee.release(cal)
 			if c.retFloat {
@@ -819,21 +822,21 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32) control {
 
 		case opRetV:
 			fr.ret = Value{}
-			return ctlReturn
+			return ctlReturn, meter
 		case opRetI:
 			fr.ret = IntVal(ints[in.A])
-			return ctlReturn
+			return ctlReturn, meter
 		case opRetF:
 			fr.ret = FloatVal(flts[in.A])
-			return ctlReturn
+			return ctlReturn, meter
 		case opIterEnd:
-			return ctlNext
+			return ctlNext, meter
 		case opIterBrk:
-			return ctlBreak
+			return ctlBreak, meter
 		case opIterCnt:
-			return ctlContinue
+			return ctlContinue, meter
 		case opIterRet:
-			return ctlReturn
+			return ctlReturn, meter
 
 		case opEdge:
 			m.throwIfInterrupted()
@@ -937,12 +940,17 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 				c.I, c.F = 0, 0
 			}
 		}
+		// The worker's partial quantum carries across its iterations,
+		// so a chunk is billed to within one quantum however short each
+		// iteration body is.
+		meter := int32(vmQuantum)
+		var ctl control
 		if pl.ivarCell {
 			c := wfr.cells[pl.ivarSlot]
 			for it := start; it < end; it++ {
 				m.throwIfInterrupted()
 				c.I = it
-				if ctl := m.runSeg(bf, wfr, pl.bodyPC); ctl != ctlNext {
+				if ctl, meter = m.runSeg(bf, wfr, pl.bodyPC, meter); ctl != ctlNext {
 					return ctl
 				}
 			}
@@ -952,7 +960,7 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		for it := start; it < end; it++ {
 			m.throwIfInterrupted()
 			wfr.ints[ivar] = it
-			if ctl := m.runSeg(bf, wfr, pl.bodyPC); ctl != ctlNext {
+			if ctl, meter = m.runSeg(bf, wfr, pl.bodyPC, meter); ctl != ctlNext {
 				return ctl
 			}
 		}

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/budget"
+	"repro/internal/cminus"
+	"repro/internal/parallelize"
+	"repro/internal/phase2"
 	"repro/internal/trace"
 )
 
@@ -69,6 +72,48 @@ void spin(int n) {
 	}
 	if got := m.Budget.Steps(); got != 0 {
 		t.Fatalf("tree billed %d steps, want 0", got)
+	}
+}
+
+// TestVMBudgetParallelRegion: a plan-chosen loop run as a parallel
+// region bills its iterations to the step budget. Each iteration body is
+// far shorter than vmQuantum, so the region is billed only because every
+// worker carries its partial quantum from one iteration to the next.
+func TestVMBudgetParallelRegion(t *testing.T) {
+	src := `
+void scale(int n, double a[]) {
+	int i;
+	for (i = 0; i < n; i++) { a[i] = a[i] * 2.0 + 1.0; }
+}
+`
+	const n = 1 << 16
+	plan := parallelize.Run(cminus.MustParse(src), phase2.LevelNew, nil)
+	run := func(workers int, limit int64) (*Machine, error) {
+		m, err := New(plan.Program())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Plan, m.Workers = plan, workers
+		m.Budget = budget.New(context.Background(), limit)
+		return m, m.Call("scale", n, NewFloatArray("a", n))
+	}
+
+	m, err := run(2, 4096)
+	if !errors.Is(err, budget.ErrBudget) {
+		t.Fatalf("2 workers, limit 4096: err = %v, want budget.ErrBudget", err)
+	}
+	if m.Stats.ParallelRegions != 1 {
+		t.Fatalf("ran %d parallel regions, want 1", m.Stats.ParallelRegions)
+	}
+
+	// Under a limit it never reaches, every iteration is billed at least
+	// one step (its segment end), less under one quantum per worker chunk.
+	m, err = run(2, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Budget.Steps(); got < n-2*vmQuantum {
+		t.Fatalf("2 workers billed %d steps for %d iterations, want >= %d", got, n, n-2*vmQuantum)
 	}
 }
 
