@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/corpus"
+	"repro/internal/parallelize"
 )
 
 // fuzzOptions bounds each fuzz execution so adversarial inputs cannot
@@ -46,26 +48,76 @@ func checkAnalyze(t *testing.T, src string) {
 			err, src, annotated)
 	}
 	_ = res.Summary()
+	checkLevelMonotone(t, src, res)
+}
+
+// checkLevelMonotone analyzes src at every level (res is its analysis at
+// New) and fails when a loop tested parallel at a lower level (Classical
+// ⊆ Base ⊆ New) has a plan entry at a higher level that is tested serial.
+// A loop missing from the higher level's plan is no violation: a level
+// that parallelizes an outer loop plans none of the loops inside it. The
+// check is skipped when a level returns an error or contains a crash,
+// since neither is a verdict. It returns how many loop pairs it compared.
+func checkLevelMonotone(t *testing.T, src string, res *Result) int {
+	t.Helper()
+	plans := make([]*parallelize.Plan, 0, 3)
+	for _, lvl := range []Level{Classical, Base} {
+		opt := fuzzOptions()
+		opt.Level = lvl
+		r, err := Analyze(src, opt)
+		if err != nil || len(r.Plan.Diagnostics) > 0 {
+			return 0
+		}
+		plans = append(plans, r.Plan)
+	}
+	if len(res.Plan.Diagnostics) > 0 {
+		return 0
+	}
+	plans = append(plans, res.Plan)
+	compared := 0
+	for i, lo := range plans {
+		for _, hi := range plans[i+1:] {
+			for name, fp := range lo.Funcs {
+				for label, lp := range fp.Loops {
+					if !lp.Decision.Parallel || hi.Funcs[name] == nil {
+						continue
+					}
+					hp := hi.Funcs[name].Loops[label]
+					if hp == nil {
+						continue
+					}
+					compared++
+					if !hp.Decision.Parallel {
+						t.Fatalf("%s/%s is parallel at %s but serial at %s (%s)\ninput: %q",
+							name, label, lo.Level, hi.Level, hp.Decision.Reason, src)
+					}
+				}
+			}
+		}
+	}
+	return compared
+}
+
+// fuzzSeeds start FuzzAnalyze.
+var fuzzSeeds = []string{
+	`void f(int n, int *a) { int i, m; m = 0; for (i = 0; i < n; i++) { if (a[i] > 0) a[m++] = i; } }`,
+	`void f(int n, int *p) { int i; p[0] = 0; for (i = 1; i <= n; i++) { p[i] = p[i-1] + 3; } }`,
+	`void f(int n, int g[][5]) { int i, j; for (i = 0; i < n; i++) { for (j = 0; j < 5; j++) { g[i][j] = 5*i + j; } } }`,
+	`void f(int n, double *y, int *ind) { int j; for (j = 0; j < n; j++) { y[ind[j]] = y[ind[j]] + 1.0; } }`,
+	`void f(int n, int *a) { int i, s; s = 0; for (i = 0; i < n; i++) { s += a[i]; } a[0] = s; }`,
+	`void f(int n) { int i; for (i = n; i > 0; i--) { } }`,
+	`void f(int n, int *a) { int i; for (i = 0; i < n; i++) { while (a[i] > 0) { a[i] = a[i] / 2; } } }`,
+	// Permutation/scatter sources steer the fuzzer at the injectivity
+	// recognizer, the swap-preservation transform and the scatter
+	// dependence disproof.
+	`void f(int n, int *p, double *a, double *b) { int i; for (i = 0; i < n; i++) { p[i] = i; } for (i = 0; i < n; i++) { a[p[i]] = a[p[i]] + b[i]; } }`,
+	`void f(int n, int *p) { int i, t; for (i = 0; i < n; i++) { p[i] = i; } for (i = 0; i < n; i++) { t = p[i]; p[i] = p[n-1-i]; p[n-1-i] = t; } }`,
+	`void f(int n, int *p) { int i; for (i = 0; i < n; i++) { p[2*i] = i; p[2*i + 1] = n + i; } }`,
+	`void f(int n, int *p) { int i; for (i = 0; i < n; i++) { p[i] = i / 2; } }`,
 }
 
 func FuzzAnalyze(f *testing.F) {
-	seeds := []string{
-		`void f(int n, int *a) { int i, m; m = 0; for (i = 0; i < n; i++) { if (a[i] > 0) a[m++] = i; } }`,
-		`void f(int n, int *p) { int i; p[0] = 0; for (i = 1; i <= n; i++) { p[i] = p[i-1] + 3; } }`,
-		`void f(int n, int g[][5]) { int i, j; for (i = 0; i < n; i++) { for (j = 0; j < 5; j++) { g[i][j] = 5*i + j; } } }`,
-		`void f(int n, double *y, int *ind) { int j; for (j = 0; j < n; j++) { y[ind[j]] = y[ind[j]] + 1.0; } }`,
-		`void f(int n, int *a) { int i, s; s = 0; for (i = 0; i < n; i++) { s += a[i]; } a[0] = s; }`,
-		`void f(int n) { int i; for (i = n; i > 0; i--) { } }`,
-		`void f(int n, int *a) { int i; for (i = 0; i < n; i++) { while (a[i] > 0) { a[i] = a[i] / 2; } } }`,
-		// Permutation/scatter sources steer the fuzzer at the injectivity
-		// recognizer, the swap-preservation transform and the scatter
-		// dependence disproof.
-		`void f(int n, int *p, double *a, double *b) { int i; for (i = 0; i < n; i++) { p[i] = i; } for (i = 0; i < n; i++) { a[p[i]] = a[p[i]] + b[i]; } }`,
-		`void f(int n, int *p) { int i, t; for (i = 0; i < n; i++) { p[i] = i; } for (i = 0; i < n; i++) { t = p[i]; p[i] = p[n-1-i]; p[n-1-i] = t; } }`,
-		`void f(int n, int *p) { int i; for (i = 0; i < n; i++) { p[2*i] = i; p[2*i + 1] = n + i; } }`,
-		`void f(int n, int *p) { int i; for (i = 0; i < n; i++) { p[i] = i / 2; } }`,
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	// Past crashers ride along as seeds so the fuzzer starts from known
@@ -109,4 +161,34 @@ func TestCrashersRegression(t *testing.T) {
 	for _, src := range crasherCorpus(t) {
 		checkAnalyze(t, src)
 	}
+}
+
+// TestLevelMonotonicity runs the level check over the fuzz seeds, the
+// crashers, the shipped benchmark programs and the corpus.
+func TestLevelMonotonicity(t *testing.T) {
+	srcs := append(append([]string(nil), fuzzSeeds...), crasherCorpus(t)...)
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.c"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("testdata programs: %v (%d files)", err, len(files))
+	}
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(b))
+	}
+	for _, b := range corpus.Extended() {
+		srcs = append(srcs, b.Source)
+	}
+	compared := 0
+	for _, src := range srcs {
+		if res, err := Analyze(src, fuzzOptions()); err == nil {
+			compared += checkLevelMonotone(t, src, res)
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no loop was parallel at a lower level and planned at a higher one")
+	}
+	t.Logf("%d sources, %d loop pairs compared", len(srcs), compared)
 }
