@@ -11,8 +11,9 @@
 #                  job pool and, through its copy, the emitted Go run on
 #                  it — and the serving layer must stay race-clean)
 #   make serve-smoke — start the subsubd daemon, fire one request from
-#                  examples/daemon over real loopback HTTP twice (miss
-#                  then content-addressed hit), validate the JSON and
+#                  examples/daemon over real loopback HTTP three times
+#                  (miss, hit on the same bytes, hit on the request
+#                  re-encoded in other bytes), validate the JSON and
 #                  /metrics, and shut down gracefully
 #   make examples-smoke — run quickstart, amgmk, sddmm and uatransf end
 #                  to end; each exits nonzero when its parallel run
@@ -90,9 +91,11 @@ vm-differential:
 	$(GO) test -race -run 'TestDifferential|TestScatterSerialVsParallel|TestVM|TestGuard|TestCounterMax|TestGlobalPointer' \
 		./internal/corpus/ ./internal/interp/
 
-# End-to-end daemon smoke: binds an ephemeral loopback port, replays the
-# example request twice (expecting a fresh analysis, then a byte-identical
-# content-addressed cache hit), and checks /metrics and /v1/health.
+# End-to-end daemon smoke: binds an ephemeral loopback port, posts the
+# example request (a fresh analysis), the same bytes again (a
+# byte-identical hit found by the request-body digest) and the request
+# re-encoded in other bytes (a hit found by the canonical key), and checks
+# /metrics (two hits, one miss) and /v1/health.
 serve-smoke:
 	$(GO) run ./cmd/subsubd -selfcheck examples/daemon/request.json
 

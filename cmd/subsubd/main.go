@@ -47,9 +47,11 @@
 //	subsubd -selfcheck examples/daemon/request.json
 //
 // The -selfcheck form is the `make serve-smoke` gate: it binds an
-// ephemeral loopback port, fires the given request twice over real HTTP
-// (expecting a cache miss then a content-addressed hit), validates the
-// JSON, checks /metrics and /v1/health, then shuts down gracefully.
+// ephemeral loopback port, fires the given request three times over real
+// HTTP (expecting a cache miss, a hit on the same request bytes, then a
+// hit on the same request re-encoded in other bytes, which only the
+// canonical key finds), validates the JSON, checks /metrics (two hits,
+// one miss) and /v1/health, then shuts down gracefully.
 package main
 
 import (
@@ -265,7 +267,8 @@ func adminMux(handler *server.Server) *http.ServeMux {
 }
 
 // runSelfcheck serves on an ephemeral loopback port and drives one full
-// serving cycle through the real HTTP stack.
+// serving cycle through the real HTTP stack: a miss, a hit found by the
+// request bytes, and a hit found by the canonical key.
 func runSelfcheck(handler *server.Server, reqPath string) error {
 	reqBody, err := os.ReadFile(reqPath)
 	if err != nil {
@@ -279,7 +282,7 @@ func runSelfcheck(handler *server.Server, reqPath string) error {
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 
-	post := func() (*http.Response, []byte, error) {
+	post := func(reqBody []byte) (*http.Response, []byte, error) {
 		resp, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(reqBody))
 		if err != nil {
 			return nil, nil, err
@@ -290,7 +293,7 @@ func runSelfcheck(handler *server.Server, reqPath string) error {
 	}
 
 	// First request: a fresh analysis.
-	resp, body, err := post()
+	resp, body, err := post(reqBody)
 	if err != nil {
 		return err
 	}
@@ -326,8 +329,9 @@ func runSelfcheck(handler *server.Server, reqPath string) error {
 		return fmt.Errorf("expected at least one parallelized loop in the example request")
 	}
 
-	// Second request: byte-identical replay from the content-addressed cache.
-	resp2, body2, err := post()
+	// Second request, the same bytes: byte-identical replay from the
+	// cache, found by the digest of the request body.
+	resp2, body2, err := post(reqBody)
 	if err != nil {
 		return err
 	}
@@ -336,6 +340,26 @@ func runSelfcheck(handler *server.Server, reqPath string) error {
 	}
 	if !bytes.Equal(body, body2) {
 		return fmt.Errorf("cache replay is not byte-identical")
+	}
+
+	// Third request, the same request in other bytes: the body digest
+	// misses, so the hit comes through the canonical key.
+	var other bytes.Buffer
+	if err := json.Compact(&other, reqBody); err != nil {
+		return err
+	}
+	if bytes.Equal(other.Bytes(), reqBody) {
+		other.WriteByte('\n')
+	}
+	resp3, body3, err := post(other.Bytes())
+	if err != nil {
+		return err
+	}
+	if state := resp3.Header.Get("X-Subsubd-Cache"); state != "hit" {
+		return fmt.Errorf("re-encoded request: %s, cache state %q, want hit", resp3.Status, state)
+	}
+	if !bytes.Equal(body, body3) {
+		return fmt.Errorf("re-encoded request: cache replay is not byte-identical")
 	}
 
 	// Observability endpoints.
@@ -359,7 +383,7 @@ func runSelfcheck(handler *server.Server, reqPath string) error {
 		return err
 	}
 	for _, want := range []string{
-		"subsubd_cache_hits_total 1", "subsubd_analyses_total 1",
+		"subsubd_cache_hits_total 2\n", "subsubd_cache_misses_total 1\n", "subsubd_analyses_total 1\n",
 		"subsubd_stage_seconds_bucket{stage=\"phase1\"", "subsubd_goroutines",
 		"subsubd_incr_func_misses_total",
 	} {
@@ -380,7 +404,7 @@ func runSelfcheck(handler *server.Server, reqPath string) error {
 	}
 
 	// The flight recorder must hold exactly the one executed analysis
-	// (the cache hit never reached the pipeline), under the first
+	// (the cache hits never reached the pipeline), under the first
 	// request's ID, with pipeline spans attached.
 	tracesBody, err := get("/debug/traces")
 	if err != nil {
