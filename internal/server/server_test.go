@@ -49,20 +49,7 @@ void apply(int numPlaced, int *ind, double *y) {
 
 func postAnalyze(t *testing.T, url string, req AnalyzeRequest) (*http.Response, []byte) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, out
+	return postRaw(t, url, mustMarshal(t, req))
 }
 
 func fetch(t *testing.T, url string) string {
