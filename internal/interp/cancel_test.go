@@ -11,12 +11,15 @@ import (
 )
 
 // TestCancelInfiniteLoop proves both engines abort a non-terminating
-// program at a loop back edge once the machine's context is canceled,
-// returning an error that wraps budget.ErrCanceled instead of hanging.
+// program once the machine's context is canceled, returning an error
+// that wraps budget.ErrCanceled instead of hanging.
 func TestCancelInfiniteLoop(t *testing.T) {
 	progs := map[string]string{
 		"while": `void spin(void) { int x; x = 0; while (1) { x = x + 1; } }`,
 		"for":   `void spin(void) { int i; int x; x = 0; for (i = 0; i < 10; i = i) { x = x + 1; } }`,
+		// Each call restarts the VM's metering quantum, so this loop
+		// reaches cancellation only through the call boundary.
+		"call": `int g(int x) { return x + 1; } void spin(void) { int x; x = 0; while (1) { x = g(x); } }`,
 	}
 	for _, engine := range []string{"tree", "vm"} {
 		for shape, src := range progs {
