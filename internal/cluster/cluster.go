@@ -295,18 +295,20 @@ func (c *Cluster) Fill(ctx context.Context, owner string, reqBody []byte, reqID 
 			p.fastFails.Add(1)
 			return nil, fmt.Errorf("%w: peer %s down", errFastFail, owner)
 		}
-		if !p.breaker.Allow() {
-			p.fastFails.Add(1)
-			return nil, fmt.Errorf("%w: peer %s breaker open", errFastFail, owner)
-		}
+		// The deadline check precedes Allow, which can turn an open
+		// breaker half-open: an attempt that is never sent must leave
+		// the breaker as it found it.
 		attemptTimeout := c.cfg.FillTimeout
 		if dl, ok := ctx.Deadline(); ok {
 			remaining := time.Until(dl)
 			if remaining < minAttempt {
-				p.breaker.Success() // the attempt never happened; don't charge the breaker
 				return nil, fmt.Errorf("cluster: no deadline budget left for peer %s", owner)
 			}
 			attemptTimeout = min(attemptTimeout, remaining)
+		}
+		if !p.breaker.Allow() {
+			p.fastFails.Add(1)
+			return nil, fmt.Errorf("%w: peer %s breaker open", errFastFail, owner)
 		}
 		body, err := c.post(ctx, p, attemptTimeout, reqBody, reqID)
 		if err == nil {

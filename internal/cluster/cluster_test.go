@@ -210,3 +210,58 @@ func TestStopCancelsInflightFill(t *testing.T) {
 		t.Fatal("fill never returned after Stop")
 	}
 }
+
+// TestFillShortDeadlineKeepsBreaker: a fill with less than minAttempt
+// of its deadline left sends nothing, so it must leave the breaker as
+// it found it. It may neither turn an open breaker whose backoff has
+// elapsed into a closed one, nor clear a closed breaker's run of
+// failures.
+func TestFillShortDeadlineKeepsBreaker(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		http.Error(w, "injected", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	fill := func(c *Cluster, timeout time.Duration) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		if _, err := c.Fill(ctx, "peer", []byte(`{}`), "r", nil); err == nil {
+			t.Fatal("fill succeeded against a failing peer")
+		}
+	}
+	short, long := 3*time.Millisecond, 5*time.Second
+
+	t.Run("open", func(t *testing.T) {
+		// One failure opens the breaker, and its nanosecond backoff has
+		// elapsed by the next fill.
+		c := newTestCluster(t, ts.URL, Config{
+			Retries: -1,
+			Breaker: BreakerConfig{Threshold: 1, BaseBackoff: time.Nanosecond, MaxBackoff: time.Nanosecond},
+		})
+		fill(c, long)
+		before := calls.Load()
+		fill(c, short)
+		if got := calls.Load(); got != before {
+			t.Fatalf("short fill sent %d requests, want 0", got-before)
+		}
+		if st := c.Stats().Peers[0]; st.Breaker != "open" || st.Opens != 1 || st.Recloses != 0 {
+			t.Fatalf("after a short fill: breaker %s, %d opens, %d recloses; want open, 1, 0", st.Breaker, st.Opens, st.Recloses)
+		}
+	})
+
+	t.Run("closed", func(t *testing.T) {
+		c := newTestCluster(t, ts.URL, Config{
+			Retries: -1,
+			Breaker: BreakerConfig{Threshold: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour},
+		})
+		fill(c, long)
+		fill(c, long)
+		fill(c, short)
+		fill(c, long)
+		if st := c.Stats().Peers[0]; st.Breaker != "open" || st.Failures != 3 || st.Opens != 1 {
+			t.Fatalf("fail, fail, short, fail: breaker %s, %d failures, %d opens; want open, 3, 1", st.Breaker, st.Failures, st.Opens)
+		}
+	})
+}
