@@ -69,17 +69,15 @@ const (
 	opFDiv    // flts[A] = flts[B] / flts[C]
 	opFNeg    // flts[A] = -flts[B]
 
-	// Comparisons materialized to 0/1 in the int column.
+	// Comparisons materialized to 0/1 in the int column. a > b is
+	// compiled as b < a and a >= b as b <= a (exact for floats, NaN
+	// included). The float forms keep the int forms' order.
 	opILt // ints[A] = b2i(ints[B] < ints[C])
 	opILe
-	opIGt
-	opIGe
 	opIEq
 	opINe
 	opFLt // ints[A] = b2i(flts[B] < flts[C])
 	opFLe
-	opFGt
-	opFGe
 	opFEq
 	opFNe
 
@@ -87,46 +85,22 @@ const (
 	opJump // pc = A
 	opJNZ  // if (ints[B] != 0) != (K != 0) { pc = A }
 	opJFNZ // if (flts[B] != 0) != (K != 0) { pc = A }
-	opJILt // if (ints[B] < ints[C]) != (K != 0) { pc = A }  (fused compare+branch)
+	// Fused compare+branch on ints. A branch on >, >= or != is the
+	// branch on <=, < or == with its sense flipped.
+	opJILt // if (ints[B] < ints[C]) != (K != 0) { pc = A }
 	opJILe
-	opJIGt
-	opJIGe
 	opJIEq
-	opJINe
 	// Immediate compare+branch: the literal rides in K, so the branch
-	// sense moves to C.
+	// sense moves to C. Same order as opJILt..opJIEq.
 	opJIKLt // if (ints[B] < K) != (C != 0) { pc = A }
 	opJIKLe
-	opJIKGt
-	opJIKGe
 	opJIKEq
-	opJIKNe
-	// Post-increment compare+branch: the canonical for-loop back edge
+	// Post-increment compare+branch: the normalized for-loop back edge
 	// i += d; if (i < bound) collapses into one dispatch. The delta rides
 	// in Aux; the bound is a register (sense in K, like opJILt) or an
 	// immediate (sense in C, like opJIKLt).
-	opJIncLt // ints[B] += Aux; if (ints[B] < ints[C]) != (K != 0) { pc = A }
-	opJIncLe
-	opJIncGt
-	opJIncGe
-	opJIncEq
-	opJIncNe
+	opJIncLt   // ints[B] += Aux; if (ints[B] < ints[C]) != (K != 0) { pc = A }
 	opJIKIncLt // ints[B] += Aux; if (ints[B] < K) != (C != 0) { pc = A }
-	opJIKIncLe
-	opJIKIncGt
-	opJIKIncGe
-	opJIKIncEq
-	opJIKIncNe
-	// Compare+branch against a freshly loaded 1-D element (the right
-	// operand of the compare): the array slot rides in bits 0-31 of K,
-	// the branch sense in bit 32, and a small non-negative displacement
-	// added to the index register in bits 40-63 (folds the a[i+1] shape).
-	opJILtA // if (ints[B] < arrs[lo(K)][ints[C]+(K>>40)]) != (K>>32&1 != 0) { pc = A }
-	opJILeA
-	opJIGtA
-	opJIGeA
-	opJIEqA
-	opJINeA
 
 	// Globals (captured *Value cells) and frame cells.
 	opGetGI // ints[A] = globals[Aux].I
@@ -173,9 +147,7 @@ const (
 	opGathLoadF  // flts[A] = arrs[B][arrs[K>>32][ints[C]]]
 	opGathStoreI // arrs[B][arrs[K>>32][ints[C]]] = ints[A]
 	opGathStoreF // arrs[B][arrs[K>>32][ints[C]]] = flts[A]
-	opOffLoadI   // ints[A] = arrs[B][arrs[K].at(ints[C])]
 	opOffLoadF   // flts[A] = arrs[B][arrs[K].at(ints[C])]
-	opOffStoreI  // arrs[B][arrs[K].at(ints[C])] = ints[A]
 	opOffStoreF  // arrs[B][arrs[K].at(ints[C])] = flts[A]
 
 	// Three-way cascades: a multiply-accumulate whose second factor is a
@@ -204,14 +176,11 @@ const (
 	opIterBrk // break with no enclosing loop in this segment: ctlBreak
 	opIterCnt // continue with no enclosing loop in this segment: ctlContinue
 
-	opEdge // loop back edge: cancellation poll (throttled shared counter)
-
 	// Parallel regions.
 	opJNoPar   // if m.Workers <= 1 { pc = A }
 	opFall     // Stats.RuntimeFallback++
 	opParEnter // guards of pars[Aux] over ints[B] trips hold ? Stats.ParallelRegions++ : pc = A
 	opPar      // run parallel loop pars[Aux]; trip count in ints[B], control out in ints[A]
-	opJIEqK    // if ints[B] == K { pc = A }  (opPar control dispatch)
 	opIterRet  // propagate a worker/return control: ctlReturn
 
 	opErr // panic engineErr with message strs[Aux]
@@ -455,7 +424,9 @@ func (bc *bcCompiler) emit(in Instr) int32 {
 // temps qualify (named slots are observable), and nothing fuses across
 // bc.barrier (a jump could land between the two). Patterns target the
 // corpus hot loops: the subscripted-subscript access a2[a1[i]] itself
-// (Gath/Off), float multiply-accumulate, and index arithmetic b*k+c.
+// (Gath/Off), float multiply-accumulate, index arithmetic b*k+c, and
+// the normalized loop's back edge. A pattern stays only while some
+// corpus plan emits it (TestVMSuperinstructionsEmitted).
 func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 	p := int32(len(bc.code)) - 1
 	if p < bc.barrier {
@@ -493,16 +464,10 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 			*prev = g
 			return p, true
 		}
-		if prev.Op == opALoadI && prev.A == in.C && prev.A >= bc.nI {
-			var op Opcode
-			switch in.Op {
-			case opALoad1I:
-				op = opOffLoadI
-			case opALoad1F:
-				op = opOffLoadF
-			case opAStore1I:
-				op = opOffStoreI
-			default:
+		if prev.Op == opALoadI && prev.A == in.C && prev.A >= bc.nI &&
+			(in.Op == opALoad1F || in.Op == opAStore1F) {
+			op := opOffLoadF
+			if in.Op == opAStore1F {
 				op = opOffStoreF
 			}
 			*prev = Instr{Op: op, A: in.A, B: in.B, C: prev.C, Aux: in.Aux, K: int64(prev.B)}
@@ -546,45 +511,21 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 			*prev = Instr{Op: opAIdxNN, A: prev.A, B: prev.B, C: prev.C, Aux: in.C, K: prev.K}
 			return p, true
 		}
-	case opJILt, opJILe, opJIGt, opJIGe, opJIEq, opJINe:
-		// In-place add feeding the left operand: the for-loop back edge
-		// i += d; if (i ? n). The add's write is preserved by the fused
-		// op, so no dead-temp requirement — only that the incremented
-		// slot is the compare's left operand.
+	case opJILt, opJIKLt:
+		// In-place add feeding the left operand: the normalized for-loop
+		// back edge i += d; if (i < n), with a register or an immediate
+		// bound. The add's write is preserved by the fused op, so no
+		// dead-temp requirement — only that the incremented slot is the
+		// compare's left operand. The rewritten slot becomes a jump, so it
+		// carries the incoming instruction's label (A) and patch chain
+		// (prev) verbatim.
 		if prev.Op == opIAddK && prev.A == prev.B && prev.A == in.B &&
 			prev.K >= -(1<<30) && prev.K < 1<<30 {
-			*prev = Instr{Op: in.Op + (opJIncLt - opJILt), A: in.A, B: in.B, C: in.C,
-				Aux: int32(prev.K), K: in.K, prev: in.prev}
-			return p, true
-		}
-		// Compare-branch whose right operand was just loaded from a 1-D
-		// array into a dead temp: re-load inside the branch op. The
-		// rewritten slot becomes a jump, so it must carry the incoming
-		// instruction's label (A) and patch chain (prev) verbatim.
-		if prev.Op == opALoad1I && prev.A == in.C && prev.A >= bc.nI && prev.A != in.B {
-			j := Instr{Op: in.Op + (opJILtA - opJILt), A: in.A, B: in.B, C: prev.C,
-				Aux: prev.Aux, K: in.K<<32 | int64(uint32(prev.B)), prev: in.prev}
-			// Cascade: the load's index was a dead temp base+literal (the
-			// a[i+1] loop-bound shape) — fold the displacement into bits
-			// 40-63 of K and pop the add.
-			if p-1 >= bc.barrier && prev.C >= bc.nI && prev.C != in.B {
-				if pr2 := &bc.code[p-1]; pr2.Op == opIAddK && pr2.A == prev.C &&
-					pr2.B != pr2.A && pr2.K >= 0 && pr2.K < 1<<20 {
-					j.C = pr2.B
-					j.K |= pr2.K << 40
-					*pr2 = j
-					bc.code = bc.code[:p]
-					return p - 1, true
-				}
+			op := opJIncLt
+			if in.Op == opJIKLt {
+				op = opJIKIncLt
 			}
-			*prev = j
-			return p, true
-		}
-	case opJIKLt, opJIKLe, opJIKGt, opJIKGe, opJIKEq, opJIKNe:
-		// Same back-edge shape with an immediate bound.
-		if prev.Op == opIAddK && prev.A == prev.B && prev.A == in.B &&
-			prev.K >= -(1<<30) && prev.K < 1<<30 {
-			*prev = Instr{Op: in.Op + (opJIKIncLt - opJIKLt), A: in.A, B: in.B, C: in.C,
+			*prev = Instr{Op: op, A: in.A, B: in.B, C: in.C,
 				Aux: int32(prev.K), K: in.K, prev: in.prev}
 			return p, true
 		}
@@ -1011,31 +952,18 @@ func (bc *bcCompiler) emitBinITo(x *cminus.BinaryExpr, dst int32) {
 }
 
 // emitCmpTo materializes a comparison as 0/1 via the dedicated compare
-// opcodes (no branches in value context).
+// opcodes (no branches in value context). The operands evaluate in
+// source order; > and >= then swap them into < and <=.
 func (bc *bcCompiler) emitCmpTo(x *cminus.BinaryExpr, dst int32) {
-	if promoteTyp(bc.r.typeOf(x.X), bc.r.typeOf(x.Y)) == tFloat {
-		l := bc.freezeF(bc.asFReg(x.X), x.Y)
-		r := bc.asFReg(x.Y)
-		var op Opcode
-		switch x.Op {
-		case "<":
-			op = opFLt
-		case "<=":
-			op = opFLe
-		case ">":
-			op = opFGt
-		case ">=":
-			op = opFGe
-		case "==":
-			op = opFEq
-		default:
-			op = opFNe
-		}
-		bc.emit(Instr{Op: op, A: dst, B: l, C: r})
-		return
+	float := promoteTyp(bc.r.typeOf(x.X), bc.r.typeOf(x.Y)) == tFloat
+	var l, r int32
+	if float {
+		l = bc.freezeF(bc.asFReg(x.X), x.Y)
+		r = bc.asFReg(x.Y)
+	} else {
+		l = bc.freezeI(bc.asIReg(x.X), x.Y)
+		r = bc.asIReg(x.Y)
 	}
-	l := bc.freezeI(bc.asIReg(x.X), x.Y)
-	r := bc.asIReg(x.Y)
 	var op Opcode
 	switch x.Op {
 	case "<":
@@ -1043,13 +971,16 @@ func (bc *bcCompiler) emitCmpTo(x *cminus.BinaryExpr, dst int32) {
 	case "<=":
 		op = opILe
 	case ">":
-		op = opIGt
+		op, l, r = opILt, r, l
 	case ">=":
-		op = opIGe
+		op, l, r = opILe, r, l
 	case "==":
 		op = opIEq
 	default:
 		op = opINe
+	}
+	if float {
+		op += opFLt - opILt
 	}
 	bc.emit(Instr{Op: op, A: dst, B: l, C: r})
 }
@@ -1104,43 +1035,31 @@ func (bc *bcCompiler) emitBranch(e cminus.Expr, target int32, jumpIfTrue bool) {
 				bc.jump(Instr{Op: opJNZ, B: t, K: b2i(!jumpIfTrue)}, target)
 				return
 			}
-			l := bc.freezeI(bc.asIReg(x.X), x.Y)
-			if lit, ok := x.Y.(*cminus.IntLit); ok {
-				var op Opcode
-				switch x.Op {
-				case "<":
-					op = opJIKLt
-				case "<=":
-					op = opJIKLe
-				case ">":
-					op = opJIKGt
-				case ">=":
-					op = opJIKGe
-				case "==":
-					op = opJIKEq
-				default:
-					op = opJIKNe
-				}
-				bc.jump(Instr{Op: op, B: l, C: int32(b2i(!jumpIfTrue)), K: lit.Val}, target)
-				return
-			}
-			r := bc.asIReg(x.Y)
+			// Jumping when a > b holds is jumping when a <= b fails;
+			// likewise >= is < and != is == with the sense flipped.
 			var op Opcode
+			jump := jumpIfTrue
 			switch x.Op {
 			case "<":
 				op = opJILt
 			case "<=":
 				op = opJILe
 			case ">":
-				op = opJIGt
+				op, jump = opJILe, !jump
 			case ">=":
-				op = opJIGe
+				op, jump = opJILt, !jump
 			case "==":
 				op = opJIEq
 			default:
-				op = opJINe
+				op, jump = opJIEq, !jump
 			}
-			bc.jump(Instr{Op: op, B: l, C: r, K: b2i(!jumpIfTrue)}, target)
+			l := bc.freezeI(bc.asIReg(x.X), x.Y)
+			if lit, ok := x.Y.(*cminus.IntLit); ok {
+				bc.jump(Instr{Op: op + (opJIKLt - opJILt), B: l, C: int32(b2i(!jump)), K: lit.Val}, target)
+				return
+			}
+			r := bc.asIReg(x.Y)
+			bc.jump(Instr{Op: op, B: l, C: r, K: b2i(!jump)}, target)
 			return
 		}
 	case *cminus.UnaryExpr:
@@ -1644,18 +1563,16 @@ func (bc *bcCompiler) stmt(s cminus.Stmt) {
 	case *cminus.ForStmt:
 		bc.emitFor(x)
 	case *cminus.WhileStmt:
-		// Rotated (condition first, then the interrupt poll, then the
-		// body): the entry guard tests the condition once, the bottom
+		// Rotated: the entry guard tests the condition once, the bottom
 		// branch re-tests it and jumps back if still true. continue lands
-		// on the bottom test, so each pass is still cond → poll → body —
-		// only the opJump per iteration is gone. The dynamic test count
-		// is identical to the unrotated form.
+		// on the bottom test, so each pass is still cond → body — only the
+		// opJump per iteration is gone. The dynamic test count is
+		// identical to the unrotated form.
 		ltop, lcond, lend := bc.newLabel(), bc.newLabel(), bc.newLabel()
 		ti, tf := bc.save()
 		bc.emitBranch(x.Cond, lend, false)
 		bc.restore(ti, tf)
 		bc.bind(ltop)
-		bc.emit(Instr{Op: opEdge})
 		bc.breaks = append(bc.breaks, lend)
 		bc.conts = append(bc.conts, lcond)
 		bc.block(x.Body)
@@ -1944,8 +1861,7 @@ func (bc *bcCompiler) serialFor(loop *cminus.ForStmt) {
 	}
 	// Rotated loop: the exit test runs once as an entry guard, then again
 	// at the bottom as the back-branch, saving the unconditional opJump
-	// every iteration. The interrupt poll moves inside the guarded region,
-	// so it fires once per body execution instead of once per test.
+	// every iteration.
 	ltop, lpost, lend := bc.newLabel(), bc.newLabel(), bc.newLabel()
 	if loop.Cond != nil {
 		ti, tf := bc.save()
@@ -1953,7 +1869,6 @@ func (bc *bcCompiler) serialFor(loop *cminus.ForStmt) {
 		bc.restore(ti, tf)
 	}
 	bc.bind(ltop)
-	bc.emit(Instr{Op: opEdge})
 	bc.breaks = append(bc.breaks, lend)
 	bc.conts = append(bc.conts, lpost)
 	bc.block(loop.Body)
@@ -2044,10 +1959,10 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 		bc.segs = append(bc.segs, pendingSeg{body: loop.Body, pidx: pidx})
 		ctl := bc.allocI()
 		bc.emit(Instr{Op: opPar, A: ctl, B: nreg, Aux: int32(pidx)})
-		bc.jump(Instr{Op: opJIEqK, B: ctl, K: int64(ctlNext)}, lend)
+		bc.jump(Instr{Op: opJIKEq, B: ctl, K: int64(ctlNext)}, lend)
 		lret, lbrk := bc.newLabel(), bc.newLabel()
-		bc.jump(Instr{Op: opJIEqK, B: ctl, K: int64(ctlReturn)}, lret)
-		bc.jump(Instr{Op: opJIEqK, B: ctl, K: int64(ctlBreak)}, lbrk)
+		bc.jump(Instr{Op: opJIKEq, B: ctl, K: int64(ctlReturn)}, lret)
+		bc.jump(Instr{Op: opJIKEq, B: ctl, K: int64(ctlBreak)}, lbrk)
 		bc.emitCont() // remaining control: ctlContinue
 		bc.bind(lret)
 		bc.emit(Instr{Op: opIterRet})

@@ -13,7 +13,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/parallelize"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Machine executes a mini-C program.
@@ -34,16 +33,15 @@ type Machine struct {
 	// an error wrapping budget.ErrBudget) within one quantum per running
 	// worker. The tree walker does not consume it.
 	Budget *budget.B
-	// Trace, when recording, receives compile-bc spans for bytecode
-	// compilation and exec-vm spans for VM runs. Nil-safe.
-	Trace *trace.Recorder
-	// Ctx cancels a running program: both engines poll it at loop back
-	// edges (every 1024 edges machine-wide) and abort with an error
-	// wrapping budget.ErrCanceled. Nil means non-cancellable.
+	// Ctx cancels a running program, which aborts with an error
+	// wrapping budget.ErrCanceled. The tree walker polls it at every
+	// loop back edge; the VM polls it where it bills Budget, when a
+	// metering quantum runs out and at every user-function call. Ctx is
+	// read once per 1024 polls machine-wide. Nil means non-cancellable.
 	Ctx context.Context
-	// edges counts loop back edges since machine creation; shared across
-	// parallel workers, so polling stays one atomic add per edge.
-	edges atomic.Int64
+	// polls counts cancellation polls since machine creation; shared
+	// across parallel workers, so a poll is one atomic add.
+	polls atomic.Int64
 	// Globals holds global scalars.
 	Globals map[string]*Value
 	// Arrays holds all arrays (global or passed in by the host).
@@ -375,17 +373,17 @@ var (
 	errContinue = fmt.Errorf("continue")
 )
 
-// backEdgeMask throttles Ctx polls to one per 1024 loop back edges.
-const backEdgeMask = 1<<10 - 1
+// pollMask throttles Ctx reads to one per 1024 polls.
+const pollMask = 1<<10 - 1
 
-// interrupt reports a cancellation error once m.Ctx is done. Both
-// engines call it at every loop back edge; with no context the cost is
-// one nil check, with one it is one shared atomic add.
+// interrupt is a cancellation poll: it reports a cancellation error
+// once m.Ctx is done. With no context the cost is one nil check, with
+// one it is one shared atomic add.
 func (m *Machine) interrupt() error {
 	if m.Ctx == nil {
 		return nil
 	}
-	if m.edges.Add(1)&backEdgeMask != 0 {
+	if m.polls.Add(1)&pollMask != 0 {
 		return nil
 	}
 	if m.Ctx.Err() != nil {

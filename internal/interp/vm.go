@@ -14,9 +14,9 @@ import (
 // (fr.ints / fr.flts / fr.cells / fr.arrs), with zero interface boxing
 // and zero steady-state allocations. Cycle metering is billed through
 // internal/budget once per vmQuantum instructions, so a step budget
-// bounds VM work with a deterministic abort point, and context
-// cancellation keeps the same throttled back-edge polls as the tree
-// walker (opEdge).
+// bounds VM work with a deterministic abort point. Context cancellation
+// is polled where the meter bills: when a quantum runs out and at each
+// user-function call, which restarts the meter.
 
 // vmQuantum is the metering quantum: the dispatch loop bills one
 // Budget.Step(vmQuantum) every vmQuantum instructions, so an exhausted
@@ -27,9 +27,7 @@ const vmQuantum = 256
 // recompiles when the plan pointer changed (plans are immutable).
 func (m *Machine) ensureBytecode() *bytecodeProgram {
 	if m.bc == nil || m.bc.plan != m.Plan {
-		sp := m.Trace.Start(0, "compile-bc")
 		m.bc = compileBytecode(m)
-		m.Trace.End(sp)
 	}
 	return m.bc
 }
@@ -83,10 +81,6 @@ func (m *Machine) callVM(name string, args []Arg) (err error) {
 		}
 	}
 	fr.ret = Value{}
-	if m.Trace.Enabled() {
-		sp := m.Trace.StartFunc(0, "exec-vm", name)
-		defer m.Trace.End(sp)
-	}
 	m.runSeg(bf, fr, 0, vmQuantum)
 	return nil
 }
@@ -166,6 +160,7 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 		meter--
 		if meter <= 0 {
 			b.Step(vmQuantum)
+			m.throwIfInterrupted()
 			meter = vmQuantum
 		}
 		in := &code[pc]
@@ -278,10 +273,6 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 			ints[in.A] = b2i(ints[in.B] < ints[in.C])
 		case opILe:
 			ints[in.A] = b2i(ints[in.B] <= ints[in.C])
-		case opIGt:
-			ints[in.A] = b2i(ints[in.B] > ints[in.C])
-		case opIGe:
-			ints[in.A] = b2i(ints[in.B] >= ints[in.C])
 		case opIEq:
 			ints[in.A] = b2i(ints[in.B] == ints[in.C])
 		case opINe:
@@ -290,10 +281,6 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 			ints[in.A] = b2i(flts[in.B] < flts[in.C])
 		case opFLe:
 			ints[in.A] = b2i(flts[in.B] <= flts[in.C])
-		case opFGt:
-			ints[in.A] = b2i(flts[in.B] > flts[in.C])
-		case opFGe:
-			ints[in.A] = b2i(flts[in.B] >= flts[in.C])
 		case opFEq:
 			ints[in.A] = b2i(flts[in.B] == flts[in.C])
 		case opFNe:
@@ -317,24 +304,8 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 			if (ints[in.B] <= ints[in.C]) != (in.K != 0) {
 				pc = in.A
 			}
-		case opJIGt:
-			if (ints[in.B] > ints[in.C]) != (in.K != 0) {
-				pc = in.A
-			}
-		case opJIGe:
-			if (ints[in.B] >= ints[in.C]) != (in.K != 0) {
-				pc = in.A
-			}
 		case opJIEq:
 			if (ints[in.B] == ints[in.C]) != (in.K != 0) {
-				pc = in.A
-			}
-		case opJINe:
-			if (ints[in.B] != ints[in.C]) != (in.K != 0) {
-				pc = in.A
-			}
-		case opJIEqK:
-			if ints[in.B] == in.K {
 				pc = in.A
 			}
 		case opJIKLt:
@@ -345,100 +316,24 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 			if (ints[in.B] <= in.K) != (in.C != 0) {
 				pc = in.A
 			}
-		case opJIKGt:
-			if (ints[in.B] > in.K) != (in.C != 0) {
-				pc = in.A
-			}
-		case opJIKGe:
-			if (ints[in.B] >= in.K) != (in.C != 0) {
-				pc = in.A
-			}
 		case opJIKEq:
 			if (ints[in.B] == in.K) != (in.C != 0) {
 				pc = in.A
 			}
-		case opJIKNe:
-			if (ints[in.B] != in.K) != (in.C != 0) {
-				pc = in.A
-			}
 
-		case opJIncLt, opJIncLe, opJIncGt, opJIncGe, opJIncEq, opJIncNe:
+		case opJIncLt:
 			// Fused for-loop back edge: bump the counter, then compare
 			// against the register bound.
 			v := ints[in.B] + int64(in.Aux)
 			ints[in.B] = v
-			r := ints[in.C]
-			var cmp bool
-			switch in.Op {
-			case opJIncLt:
-				cmp = v < r
-			case opJIncLe:
-				cmp = v <= r
-			case opJIncGt:
-				cmp = v > r
-			case opJIncGe:
-				cmp = v >= r
-			case opJIncEq:
-				cmp = v == r
-			default:
-				cmp = v != r
-			}
-			if cmp != (in.K != 0) {
+			if (v < ints[in.C]) != (in.K != 0) {
 				pc = in.A
 			}
-		case opJIKIncLt, opJIKIncLe, opJIKIncGt, opJIKIncGe, opJIKIncEq, opJIKIncNe:
+		case opJIKIncLt:
 			// Same back edge with an immediate bound (sense in C).
 			v := ints[in.B] + int64(in.Aux)
 			ints[in.B] = v
-			var cmp bool
-			switch in.Op {
-			case opJIKIncLt:
-				cmp = v < in.K
-			case opJIKIncLe:
-				cmp = v <= in.K
-			case opJIKIncGt:
-				cmp = v > in.K
-			case opJIKIncGe:
-				cmp = v >= in.K
-			case opJIKIncEq:
-				cmp = v == in.K
-			default:
-				cmp = v != in.K
-			}
-			if cmp != (in.C != 0) {
-				pc = in.A
-			}
-		case opJILtA, opJILeA, opJIGtA, opJIGeA, opJIEqA, opJINeA:
-			// Compare+branch against arrs[lo(K)][ints[C]+disp]; the branch
-			// sense is bit 32 of K, the displacement bits 40-63.
-			a := fr.arrs[int32(uint32(in.K))]
-			i := ints[in.C] + in.K>>40
-			if a == nil || len(a.Dims) != 1 || uint64(i) >= uint64(a.Dims[0]) {
-				vmArr1Fail(bf, a, i, in.Aux)
-			}
-			var r int64
-			if a.Float {
-				r = int64(a.Flts[i])
-			} else {
-				r = a.Ints[i]
-			}
-			l := ints[in.B]
-			var cmp bool
-			switch in.Op {
-			case opJILtA:
-				cmp = l < r
-			case opJILeA:
-				cmp = l <= r
-			case opJIGtA:
-				cmp = l > r
-			case opJIGeA:
-				cmp = l >= r
-			case opJIEqA:
-				cmp = l == r
-			default:
-				cmp = l != r
-			}
-			if cmp != (in.K>>32&1 != 0) {
+			if (v < in.K) != (in.C != 0) {
 				pc = in.A
 			}
 
@@ -607,11 +502,11 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 			}
 			flts[in.A>>16] = flts[in.A>>16] + float64(flts[in.A&0xffff]*v)
 
-		case opOffLoadI, opOffLoadF, opOffStoreI, opOffStoreF:
-			// Fused multi-dim-indexed subscript feeding a 1-D access:
-			// a2[a1[i][j]...]. The inner offset in ints[C] was already
-			// checked by the opAIdx chain, so the inner load is raw; the
-			// outer access keeps its full 1-D checks.
+		case opOffLoadF, opOffStoreF:
+			// Fused multi-dim-indexed subscript feeding a 1-D float
+			// access: a2[a1[i][j]...]. The inner offset in ints[C] was
+			// already checked by the opAIdx chain, so the inner load is
+			// raw; the outer access keeps its full 1-D checks.
 			a2 := fr.arrs[in.B]
 			if a2 == nil {
 				throwf("%s", bf.strs[in.Aux])
@@ -627,23 +522,11 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 				vmArr1Fail(bf, a2, ix, in.Aux)
 			}
 			switch in.Op {
-			case opOffLoadI:
-				if a2.Float {
-					ints[in.A] = int64(a2.Flts[ix])
-				} else {
-					ints[in.A] = a2.Ints[ix]
-				}
 			case opOffLoadF:
 				if a2.Float {
 					flts[in.A] = a2.Flts[ix]
 				} else {
 					flts[in.A] = float64(a2.Ints[ix])
-				}
-			case opOffStoreI:
-				if a2.Float {
-					a2.Flts[ix] = float64(ints[in.A])
-				} else {
-					a2.Ints[ix] = ints[in.A]
 				}
 			default:
 				if a2.Float {
@@ -778,14 +661,17 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 			flts[in.A] = bf.b2[in.Aux](flts[in.B], flts[in.C])
 
 		case opCallU:
-			// Flush the partial quantum before recursing: the callee
-			// meters its own segment from scratch, so without this an
-			// unbounded call chain whose frames each execute fewer than
-			// vmQuantum instructions would never bill the budget (and
-			// recurse until the goroutine stack blows).
+			// Flush the partial quantum and poll for cancellation before
+			// recursing: the callee meters its own segment from scratch,
+			// so without this an unbounded call chain whose frames each
+			// execute fewer than vmQuantum instructions would never bill
+			// the budget (and recurse until the goroutine stack blows),
+			// and a loop that only calls a short function would never
+			// see its context canceled.
 			if n := vmQuantum - meter; n > 0 {
 				b.Step(int64(n))
 			}
+			m.throwIfInterrupted()
 			meter = vmQuantum
 			c := &bf.calls[in.Aux]
 			cal := c.callee.newFrame()
@@ -837,9 +723,6 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 			return ctlContinue, meter
 		case opIterRet:
 			return ctlReturn, meter
-
-		case opEdge:
-			m.throwIfInterrupted()
 
 		case opJNoPar:
 			if m.Workers <= 1 {
@@ -941,14 +824,13 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 			}
 		}
 		// The worker's partial quantum carries across its iterations,
-		// so a chunk is billed to within one quantum however short each
-		// iteration body is.
+		// so a chunk is billed, and polled for cancellation, to within
+		// one quantum however short each iteration body is.
 		meter := int32(vmQuantum)
 		var ctl control
 		if pl.ivarCell {
 			c := wfr.cells[pl.ivarSlot]
 			for it := start; it < end; it++ {
-				m.throwIfInterrupted()
 				c.I = it
 				if ctl, meter = m.runSeg(bf, wfr, pl.bodyPC, meter); ctl != ctlNext {
 					return ctl
@@ -958,7 +840,6 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		}
 		ivar := pl.ivarSlot
 		for it := start; it < end; it++ {
-			m.throwIfInterrupted()
 			wfr.ints[ivar] = it
 			if ctl, meter = m.runSeg(bf, wfr, pl.bodyPC, meter); ctl != ctlNext {
 				return ctl
