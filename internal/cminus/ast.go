@@ -242,16 +242,12 @@ func (p *Program) Func(name string) *FuncDecl {
 // and the list of index expressions, outermost dimension first. It returns
 // ok=false if the base is not a plain identifier.
 func ArrayBase(e Expr) (name string, indices []Expr, ok bool) {
-	for {
-		ix, isIdx := e.(*IndexExpr)
-		if !isIdx {
-			break
-		}
-		indices = append([]Expr{ix.Index}, indices...)
-		e = ix.Arr
+	ix, isIdx := e.(*IndexExpr)
+	if !isIdx {
+		return "", nil, false
 	}
-	id, isID := e.(*Ident)
-	if !isID || len(indices) == 0 {
+	id, indices := arrayBase(ix)
+	if id == nil {
 		return "", nil, false
 	}
 	return id.Name, indices, true

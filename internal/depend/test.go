@@ -55,6 +55,21 @@ func (d *Decision) CheckString() string {
 	return strings.Join(parts, " && ")
 }
 
+// Reduction is one reduction clause: a scalar and its operator.
+type Reduction struct{ Name, Op string }
+
+// SortedReductions returns the reduction clauses in name order. Each
+// variable combines on its own, so the engines, which all walk the
+// clauses in this order, reach the same result.
+func (d *Decision) SortedReductions() []Reduction {
+	out := make([]Reduction, 0, len(d.Reductions))
+	for v, op := range d.Reductions {
+		out = append(out, Reduction{v, op})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
 // Tester runs dependence tests for loops of one function.
 type Tester struct {
 	// Props is the subscript-array property database (may be empty for

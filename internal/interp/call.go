@@ -9,21 +9,14 @@ import (
 // callUser executes a user-defined function called from program code:
 // scalar parameters bind by value, array/pointer parameters bind by
 // reference (the argument must be a plain identifier naming an array).
-// Array bindings made by the callee — parameter names and local array
-// declarations — are scoped to the call via the machine shadow stack.
+// The callee's scope chain starts at its parameters, so it sees the
+// globals but none of the caller's locals.
 func (m *Machine) callUser(fn *cminus.FuncDecl, c *cminus.CallExpr, e *env) (Value, error) {
 	if len(c.Args) != len(fn.Params) {
 		return Value{}, fmt.Errorf("interp: %s expects %d args, got %d at %s",
 			fn.Name, len(fn.Params), len(c.Args), c.P)
 	}
-	callee := &env{vars: map[string]*Value{}}
-	mark := len(m.arrShadows)
-	prevMark := m.callMark
-	m.callMark = mark
-	defer func() {
-		m.restoreArrays(mark)
-		m.callMark = prevMark
-	}()
+	callee := &env{}
 	for i, prm := range fn.Params {
 		if prm.PtrDeep > 0 || len(prm.Dims) > 0 {
 			id, ok := c.Args[i].(*cminus.Ident)
@@ -31,12 +24,12 @@ func (m *Machine) callUser(fn *cminus.FuncDecl, c *cminus.CallExpr, e *env) (Val
 				return Value{}, fmt.Errorf("interp: array argument %d of %s must be an identifier at %s",
 					i, fn.Name, c.P)
 			}
-			arr, found := m.Arrays[id.Name]
-			if !found {
+			arr := m.array(id.Name, e)
+			if arr == nil {
 				return Value{}, fmt.Errorf("interp: unknown array %q passed to %s at %s",
 					id.Name, fn.Name, c.P)
 			}
-			m.bindArray(prm.Name, arr)
+			callee.defineArray(prm.Name, arr)
 			continue
 		}
 		v, err := m.eval(c.Args[i], e)
