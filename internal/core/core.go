@@ -51,8 +51,6 @@ type Options struct {
 	// preprocessing step, so that filling loops and subscripted-subscript
 	// loops share a subroutine).
 	Inline bool
-	// Ablate disables individual analysis capabilities (ablation runs).
-	Ablate phase2.Opts
 	// Workers bounds the analysis worker pool. Within one program, Pass 1
 	// (per-function array analysis) and Pass 2 (per-nest dependence
 	// planning) fan out over up to Workers goroutines; AnalyzeBatch
@@ -165,14 +163,13 @@ func AnalyzeProgram(prog *cminus.Program, opt Options) (*Result, error) {
 			ksp := tr.Start(asp, "unitkeys")
 			reuse = &parallelize.Reuse{
 				Keys: incr.UnitKeys(prog,
-					incr.OptionsDigest(opt.Level, opt.AssumePositive, opt.Inline, opt.Ablate)),
+					incr.OptionsDigest(opt.Level, opt.AssumePositive, opt.Inline)),
 				Cache: opt.Incremental,
 			}
 			tr.End(ksp)
 		}
 		plan = parallelize.Run(prog, opt.Level, &parallelize.Options{
 			Assume:      dict,
-			Ablate:      opt.Ablate,
 			Workers:     opt.Workers,
 			Budget:      b,
 			Trace:       tr,

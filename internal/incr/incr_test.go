@@ -131,7 +131,7 @@ func unitKeys(t *testing.T, src string) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return UnitKeys(prog, OptionsDigest(phase2.LevelNew, nil, false, phase2.Opts{}))
+	return UnitKeys(prog, OptionsDigest(phase2.LevelNew, nil, false))
 }
 
 // TestIncrCalleeHashSoundness: editing a callee's body must change the
@@ -173,14 +173,14 @@ func TestIncrLabelShiftSoundness(t *testing.T) {
 }
 
 func TestIncrOptionsDigest(t *testing.T) {
-	base := OptionsDigest(phase2.LevelNew, []string{"b", "a", "a"}, false, phase2.Opts{})
-	if base != OptionsDigest(phase2.LevelNew, []string{"a", "b"}, false, phase2.Opts{}) {
+	base := OptionsDigest(phase2.LevelNew, []string{"b", "a", "a"}, false)
+	if base != OptionsDigest(phase2.LevelNew, []string{"a", "b"}, false) {
 		t.Error("assume list order/duplicates should not change the digest")
 	}
-	if base == OptionsDigest(phase2.LevelBase, []string{"a", "b"}, false, phase2.Opts{}) {
+	if base == OptionsDigest(phase2.LevelBase, []string{"a", "b"}, false) {
 		t.Error("level must change the digest")
 	}
-	if base == OptionsDigest(phase2.LevelNew, []string{"a", "b"}, true, phase2.Opts{}) {
+	if base == OptionsDigest(phase2.LevelNew, []string{"a", "b"}, true) {
 		t.Error("inline must change the digest")
 	}
 }

@@ -27,11 +27,10 @@ func writeField(h hash.Hash, s string) {
 
 // OptionsDigest canonicalizes the analysis options that affect
 // per-function results: the capability level, the assume ranges (sorted
-// and deduplicated, so equivalent spellings share a digest), whether
-// inline expansion ran, and the ablation toggles. Worker counts,
-// budgets, deadlines and tracing are excluded — they never change the
-// result bytes.
-func OptionsDigest(level phase2.Level, assume []string, inline bool, ablate phase2.Opts) string {
+// and deduplicated, so equivalent spellings share a digest), and
+// whether inline expansion ran. Worker counts, budgets, deadlines and
+// tracing are excluded — they never change the result bytes.
+func OptionsDigest(level phase2.Level, assume []string, inline bool) string {
 	as := append([]string(nil), assume...)
 	sort.Strings(as)
 	as = dedupe(as)
@@ -42,9 +41,6 @@ func OptionsDigest(level phase2.Level, assume []string, inline bool, ablate phas
 		writeField(h, a)
 	}
 	writeField(h, fmt.Sprintf("inline=%t", inline))
-	// phase2.Opts is a flat struct of bools; %+v renders field names and
-	// values deterministically, so new toggles change the digest.
-	writeField(h, fmt.Sprintf("%+v", ablate))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
