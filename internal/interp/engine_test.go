@@ -274,3 +274,19 @@ func TestGlobalPointerIsArray(t *testing.T) {
 		}
 	}
 }
+
+// TestVMHostArgTypes: a scalar the host passes to Call takes its
+// parameter's declared type on both engines, as a program's own call
+// converts its arguments.
+func TestVMHostArgTypes(t *testing.T) {
+	for _, eng := range engines {
+		m := machineFor(t, `void f(double x, int k, double *out) { out[0] = x / 2; out[1] = k / 2; }`, eng)
+		out := NewFloatArray("out", 2)
+		if err := m.Call("f", 7, 7.9, out); err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		if out.Flts[0] != 3.5 || out.Flts[1] != 3 {
+			t.Errorf("%s: out = %v, want [3.5 3]", eng, out.Flts)
+		}
+	}
+}
