@@ -51,6 +51,10 @@ var vmFuzzSeeds = []string{
 	// A for post runs after the body: a name it defines is not the
 	// body's on the next iteration.
 	`void f(int n, double *a) { int i; for (i = 0; i < 3; k = 1) { i = i + 1; if (i > 1) a[0] = k; } }`,
+	// Builtins at double and int sites: abs returns int, every other
+	// builtin double, and an int site truncates.
+	`void f(int n, double *a) { int k; k = floor(-2.5) + abs(-3.7); a[0] = fmod(-7.5, 2) + pow(2, -2); a[1] = k / 2; a[2] = abs(n) / 2 + tan(-0.0); a[3] = fmin(-0.0, 1.0) * fmax(sqrt(6.25), ceil(-2.5)); }`,
+	`void f(int n, int *a) { int i; for (i = 0; i < n; i++) { a[i] = abs(i - 3) + floor(exp(0.0) * log(1.0)) + cos(0.0) * sin(-0.0) + fabs(-1.5); } }`,
 }
 
 // vmFuzzBudget bounds a VM run so fuzz-generated unbounded loops (and
