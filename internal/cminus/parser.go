@@ -116,6 +116,9 @@ func (p *Parser) parseProgram() (*Program, error) {
 			if err != nil {
 				return nil, err
 			}
+			if fn.Body != nil && LookupBuiltin(fn.Name) != nil {
+				return nil, fmt.Errorf("cminus: %s: cannot define builtin %q", nameTok.Pos, fn.Name)
+			}
 			prog.Funcs = append(prog.Funcs, fn)
 			continue
 		}

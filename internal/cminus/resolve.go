@@ -24,7 +24,7 @@ import "strings"
 //   - Types are C's usual arithmetic conversions over int and double.
 //     + - * / and ?: are double when either operand is; comparisons,
 //     logic, % and bitwise operators are int; a user call has its
-//     callee's return type; builtins return double, except abs.
+//     callee's return type, a builtin its row's (LookupBuiltin).
 
 // Binding is one declaration a name denotes: a global, a parameter, a
 // declarator, or the assignment that defines an implicit scalar.
@@ -178,7 +178,8 @@ func (b *Binds) Float(e Expr) bool {
 		if fn := b.prog.Func(x.Fun); fn != nil && fn.Body != nil {
 			return IsFloatType(fn.RetType)
 		}
-		return x.Fun != "abs"
+		bi := LookupBuiltin(x.Fun)
+		return bi == nil || !bi.Int
 	case *CastExpr:
 		return IsFloatType(x.Type)
 	}

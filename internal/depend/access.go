@@ -49,7 +49,7 @@ type LoopAccessInfo struct {
 	Reductions map[string]string // var -> operator
 	// InnerLoops lists the loops nested in the body.
 	InnerLoops []*cminus.ForStmt
-	// HasUnknownCall marks calls that are not known side-effect free.
+	// HasUnknownCall marks a call to anything but a builtin.
 	HasUnknownCall bool
 	// InnerRanges provides [lo:hi] ranges for inner loop variables with
 	// affine bounds.
@@ -100,7 +100,7 @@ func CollectAccesses(loop *cminus.ForStmt, meta *normalize.LoopMeta) *LoopAccess
 					info.ScalarFirstIsWrite[t.Name] = false
 				}
 			case *cminus.CallExpr:
-				if !normalize.IsSideEffectFreeCall(t.Fun) {
+				if cminus.LookupBuiltin(t.Fun) == nil {
 					info.HasUnknownCall = true
 				}
 			}

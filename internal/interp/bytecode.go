@@ -161,9 +161,8 @@ const (
 	opACheck // nil-check arrs[B] (user-call array argument), Aux: msg
 
 	// Builtins. Arguments and results use the float column.
-	opAbs // ints[A] = int64(math.Abs(flts[B]))
-	opB1  // flts[A] = builtins1 table[Aux](flts[B])
-	opB2  // flts[A] = builtins2 table[Aux](flts[B], flts[C])
+	opB1 // flts[A] = b1[Aux](flts[B])
+	opB2 // flts[A] = b2[Aux](flts[B], flts[C])
 
 	opCallU // call calls[Aux]; result: ints[A] or flts[A] per descriptor
 
@@ -1415,49 +1414,35 @@ func (bc *bcCompiler) emitCallTo(x *cminus.CallExpr, float bool, dst int32) {
 		bc.asFTo(a, t)
 		args[i] = t
 	}
-	switch {
-	case x.Fun == "abs":
-		if len(args) != 1 {
-			bc.errOp("interp: %s expects %d args", x.Fun, 1)
-			return
-		}
-		if !float {
-			bc.emit(Instr{Op: opAbs, A: dst, B: args[0]})
-			return
-		}
-		t := bc.allocI()
-		bc.emit(Instr{Op: opAbs, A: t, B: args[0]})
-		bc.emit(Instr{Op: opI2F, A: dst, B: t})
-	case builtins1[x.Fun] != nil:
-		if len(args) != 1 {
-			bc.errOp("interp: %s expects %d args", x.Fun, 1)
-			return
-		}
-		bc.bf.b1 = append(bc.bf.b1, builtins1[x.Fun])
-		bi := int32(len(bc.bf.b1) - 1)
-		if !float {
-			t := bc.allocF()
-			bc.emit(Instr{Op: opB1, A: t, B: args[0], Aux: bi})
-			bc.emit(Instr{Op: opF2I, A: dst, B: t})
-			return
-		}
-		bc.emit(Instr{Op: opB1, A: dst, B: args[0], Aux: bi})
-	case builtins2[x.Fun] != nil:
-		if len(args) != 2 {
-			bc.errOp("interp: %s expects %d args", x.Fun, 2)
-			return
-		}
-		bc.bf.b2 = append(bc.bf.b2, builtins2[x.Fun])
-		bi := int32(len(bc.bf.b2) - 1)
-		if !float {
-			t := bc.allocF()
-			bc.emit(Instr{Op: opB2, A: t, B: args[0], C: args[1], Aux: bi})
-			bc.emit(Instr{Op: opF2I, A: dst, B: t})
-			return
-		}
-		bc.emit(Instr{Op: opB2, A: dst, B: args[0], C: args[1], Aux: bi})
-	default:
+	bi := cminus.LookupBuiltin(x.Fun)
+	if bi == nil {
 		bc.errOp("interp: unknown function %q", x.Fun)
+		return
+	}
+	if len(args) != bi.Arity() {
+		bc.errOp("interp: %s expects %d args", x.Fun, bi.Arity())
+		return
+	}
+	// The call yields a double. An int site or an int builtin truncates
+	// it; an int builtin at a double site converts the int back.
+	res := dst
+	if !float || bi.Int {
+		res = bc.allocF()
+	}
+	if bi.F2 != nil {
+		bc.bf.b2 = append(bc.bf.b2, bi.F2)
+		bc.emit(Instr{Op: opB2, A: res, B: args[0], C: args[1], Aux: int32(len(bc.bf.b2) - 1)})
+	} else {
+		bc.bf.b1 = append(bc.bf.b1, bi.F1)
+		bc.emit(Instr{Op: opB1, A: res, B: args[0], Aux: int32(len(bc.bf.b1) - 1)})
+	}
+	switch {
+	case !float:
+		bc.emit(Instr{Op: opF2I, A: dst, B: res})
+	case bi.Int:
+		t := bc.allocI()
+		bc.emit(Instr{Op: opF2I, A: t, B: res})
+		bc.emit(Instr{Op: opI2F, A: dst, B: t})
 	}
 }
 

@@ -3,7 +3,6 @@ package interp
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 
@@ -616,7 +615,8 @@ func (m *Machine) isFloat(x cminus.Expr, e *env) bool {
 		if fn := m.Prog.Func(t.Fun); fn != nil && fn.Body != nil {
 			return cminus.IsFloatType(fn.RetType)
 		}
-		return t.Fun != "abs"
+		bi := cminus.LookupBuiltin(t.Fun)
+		return bi == nil || !bi.Int
 	case *cminus.CastExpr:
 		return cminus.IsFloatType(t.Type)
 	}
@@ -727,80 +727,16 @@ func (m *Machine) evalCall(c *cminus.CallExpr, e *env) (Value, error) {
 		}
 		args[i] = v.AsFloat()
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("interp: %s expects %d args", c.Fun, n)
-		}
-		return nil
+	bi := cminus.LookupBuiltin(c.Fun)
+	switch {
+	case bi == nil:
+		return Value{}, fmt.Errorf("interp: unknown function %q", c.Fun)
+	case len(args) != bi.Arity():
+		return Value{}, fmt.Errorf("interp: %s expects %d args", c.Fun, bi.Arity())
+	case bi.Int:
+		return IntVal(int64(bi.Eval(args))), nil
 	}
-	switch c.Fun {
-	case "exp":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Exp(args[0])), nil
-	case "sqrt":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Sqrt(args[0])), nil
-	case "fabs":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Abs(args[0])), nil
-	case "sin":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Sin(args[0])), nil
-	case "cos":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Cos(args[0])), nil
-	case "log":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Log(args[0])), nil
-	case "pow":
-		if err := need(2); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Pow(args[0], args[1])), nil
-	case "fmod":
-		if err := need(2); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Mod(args[0], args[1])), nil
-	case "fmin":
-		if err := need(2); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Min(args[0], args[1])), nil
-	case "fmax":
-		if err := need(2); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Max(args[0], args[1])), nil
-	case "floor":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Floor(args[0])), nil
-	case "ceil":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return FloatVal(math.Ceil(args[0])), nil
-	case "abs":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		return IntVal(int64(math.Abs(args[0]))), nil
-	}
-	return Value{}, fmt.Errorf("interp: unknown function %q", c.Fun)
+	return FloatVal(bi.Eval(args)), nil
 }
 
 // execFor runs a for loop, in parallel when the plan selects it and

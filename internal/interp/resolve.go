@@ -20,7 +20,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cminus"
 	"repro/internal/parallelize"
@@ -226,24 +225,4 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// ---- builtins ----
-
-var builtins1 = map[string]func(float64) float64{
-	"exp":   math.Exp,
-	"sqrt":  math.Sqrt,
-	"fabs":  math.Abs,
-	"sin":   math.Sin,
-	"cos":   math.Cos,
-	"log":   math.Log,
-	"floor": math.Floor,
-	"ceil":  math.Ceil,
-}
-
-var builtins2 = map[string]func(float64, float64) float64{
-	"pow":  math.Pow,
-	"fmod": math.Mod,
-	"fmin": math.Min,
-	"fmax": math.Max,
 }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/budget"
 	"repro/internal/sched"
@@ -653,8 +652,6 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 				throwf("%s", bf.strs[in.Aux])
 			}
 
-		case opAbs:
-			ints[in.A] = int64(math.Abs(flts[in.B]))
 		case opB1:
 			flts[in.A] = bf.b1[in.Aux](flts[in.B])
 		case opB2:
