@@ -46,14 +46,35 @@ const (
 )
 
 // expr is a lowered expression: Go source text, the precedence of its
-// outermost operator, and its static type.
+// outermost operator, its static type, and whether Go reads an int or
+// float64 text as a constant expression (k).
+//
+// Go evaluates a constant expression exactly at compile time: no
+// rounding, no negative zero, no wrap-around, and a constant that does
+// not fit its type, a truncating conversion or a constant zero divisor
+// fails the build. The interpreters evaluate every operation at run
+// time in int64 and float64, so the emitter never hands Go an operation
+// it would fold: run turns such an operand into a run-time value.
 type expr struct {
 	s    string
 	prec int
 	t    typ
+	k    bool
 }
 
 func atom(s string, t typ) expr { return expr{s: s, prec: precAtom, t: t} }
+
+// run returns a constant int or float64 as a run-time value (rtI, rtF
+// in the runtime file).
+func run(e expr) expr {
+	switch {
+	case !e.k:
+		return e
+	case e.t == tFloat:
+		return atom("rtF("+e.s+")", tFloat)
+	}
+	return atom("rtI("+e.s+")", tInt)
+}
 
 // at parenthesizes e when its outermost operator binds looser than min.
 func (e expr) at(min int) string {
@@ -75,12 +96,12 @@ func conv(e expr, want typ) expr {
 		if e.t == tBool {
 			return atom("rtB2i("+e.s+")", tInt)
 		}
-		return atom("int64("+e.s+")", tInt)
+		return atom("int64("+run(e).s+")", tInt)
 	case tFloat:
 		if e.t == tBool {
 			return atom("float64(rtB2i("+e.s+"))", tFloat)
 		}
-		return atom("float64("+e.s+")", tFloat)
+		return expr{s: "float64(" + e.s + ")", prec: precAtom, t: tFloat, k: e.k}
 	default: // tBool
 		return expr{s: e.at(precAdd) + " != 0", prec: precCmp, t: tBool}
 	}
@@ -100,33 +121,43 @@ func arith(op string, l, r expr) (expr, error) {
 		r = conv(r, tInt)
 	}
 	switch op {
-	case "+", "-", "*", "/":
+	case "+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=":
 		if l.t == tFloat || r.t == tFloat {
 			l, r = conv(l, tFloat), conv(r, tFloat)
+		}
+	case "%", "&", "|", "^", "<<", ">>":
+		l, r = conv(l, tInt), conv(r, tInt)
+	default:
+		return expr{}, fmt.Errorf("unsupported operator %q", op)
+	}
+	// Go folds an operation on two constants, checks a constant divisor
+	// or shift count at compile time, and types a shift's constant left
+	// operand by its context: such operands become run-time values.
+	switch op {
+	case "/", "%":
+		r = run(r)
+	case "<<", ">>":
+		l, r = run(l), run(r)
+	}
+	if l.k {
+		r = run(r)
+	}
+	switch op {
+	case "+", "-", "*", "/":
+		if l.t == tFloat {
 			return atom(fmt.Sprintf("float64(%s %s %s)", l.at(opPrec(op)), op, r.at(opPrec(op)+1)), tFloat), nil
 		}
-		return binExpr(op, l, r, tInt), nil
-	case "%":
-		return binExpr(op, conv(l, tInt), conv(r, tInt), tInt), nil
 	case "<", "<=", ">", ">=", "==", "!=":
-		if l.t == tFloat || r.t == tFloat {
-			l, r = conv(l, tFloat), conv(r, tFloat)
-		} else {
-			l, r = conv(l, tInt), conv(r, tInt)
-		}
 		return expr{s: l.at(precCmp+1) + " " + op + " " + r.at(precCmp+1), prec: precCmp, t: tBool}, nil
-	case "&", "|", "^":
-		return binExpr(op, conv(l, tInt), conv(r, tInt), tInt), nil
 	case "<<", ">>":
 		// interp shifts by uint(r): negative counts become huge shifts,
 		// which Go defines as 0/-1 — reproduce exactly.
-		l, r = conv(l, tInt), conv(r, tInt)
 		return expr{
 			s:    fmt.Sprintf("%s %s uint(%s)", l.at(precMul), op, r.s),
 			prec: precMul, t: tInt,
 		}, nil
 	}
-	return expr{}, fmt.Errorf("unsupported operator %q", op)
+	return binExpr(op, l, r, tInt), nil
 }
 
 func opPrec(op string) int {
@@ -144,39 +175,16 @@ func binExpr(op string, l, r expr, t typ) expr {
 	return expr{s: l.at(p) + " " + op + " " + r.at(p+1), prec: p, t: t}
 }
 
-// mathFuncs maps mini-C math builtins to their Go lowering. All take
-// float64 arguments (the interpreter converts every argument with
-// AsFloat) and return float64 except abs, which truncates to int64.
-var mathFuncs = map[string]struct {
-	goFn  string
-	arity int
-	ret   typ
-}{
-	"exp":   {"math.Exp", 1, tFloat},
-	"sqrt":  {"math.Sqrt", 1, tFloat},
-	"fabs":  {"math.Abs", 1, tFloat},
-	"sin":   {"math.Sin", 1, tFloat},
-	"cos":   {"math.Cos", 1, tFloat},
-	"log":   {"math.Log", 1, tFloat},
-	"pow":   {"math.Pow", 2, tFloat},
-	"fmod":  {"math.Mod", 2, tFloat},
-	"fmin":  {"math.Min", 2, tFloat},
-	"fmax":  {"math.Max", 2, tFloat},
-	"floor": {"math.Floor", 1, tFloat},
-	"ceil":  {"math.Ceil", 1, tFloat},
-	"abs":   {"math.Abs", 1, tInt},
-}
-
 // lowerExpr lowers a mini-C expression to Go source with its type.
 func (fg *fnGen) lowerExpr(x cminus.Expr) (expr, error) {
 	switch t := x.(type) {
 	case *cminus.IntLit:
-		return atom(strconv.FormatInt(t.Val, 10), tInt), nil
+		return expr{s: strconv.FormatInt(t.Val, 10), prec: precAtom, t: tInt, k: true}, nil
 	case *cminus.FloatLit:
-		return atom(floatText(t.Text), tFloat), nil
+		return expr{s: floatText(t.Text), prec: precAtom, t: tFloat, k: true}, nil
 	case *cminus.StringLit:
 		// The interpreter evaluates string literals to integer 0.
-		return atom("0", tInt), nil
+		return expr{s: "0", prec: precAtom, t: tInt, k: true}, nil
 	case *cminus.Ident:
 		return fg.lowerIdent(t)
 	case *cminus.BinaryExpr:
@@ -240,11 +248,14 @@ func (fg *fnGen) lowerUnary(t *cminus.UnaryExpr) (expr, error) {
 		if v.t == tBool {
 			v = conv(v, tInt)
 		}
+		if v.t == tFloat {
+			v = run(v) // a constant -0.0 is 0 in Go
+		}
 		s := v.at(precUnary + 1)
 		if strings.HasPrefix(s, "-") {
 			s = "(" + s + ")"
 		}
-		return expr{s: "-" + s, prec: precUnary, t: v.t}, nil
+		return expr{s: "-" + s, prec: precUnary, t: v.t, k: v.k}, nil
 	case "!":
 		v, err := fg.lowerExpr(t.X)
 		if err != nil {
@@ -258,7 +269,7 @@ func (fg *fnGen) lowerUnary(t *cminus.UnaryExpr) (expr, error) {
 			return expr{}, err
 		}
 		v = conv(v, tInt)
-		return expr{s: "^" + v.at(precUnary+1), prec: precUnary, t: tInt}, nil
+		return expr{s: "^" + v.at(precUnary+1), prec: precUnary, t: tInt, k: v.k}, nil
 	}
 	return expr{}, fmt.Errorf("unsupported unary %q in expression at %s (increments are statements)", t.Op, t.P)
 }
@@ -339,12 +350,12 @@ func (fg *fnGen) lowerCall(t *cminus.CallExpr) (expr, error) {
 		}
 		return fg.lowerUserCall(fn, t)
 	}
-	mf, ok := mathFuncs[t.Fun]
-	if !ok {
+	bi := cminus.LookupBuiltin(t.Fun)
+	if bi == nil {
 		return expr{}, fmt.Errorf("unknown function %q at %s", t.Fun, t.P)
 	}
-	if len(t.Args) != mf.arity {
-		return expr{}, fmt.Errorf("%s expects %d args, got %d at %s", t.Fun, mf.arity, len(t.Args), t.P)
+	if len(t.Args) != bi.Arity() {
+		return expr{}, fmt.Errorf("%s expects %d args, got %d at %s", t.Fun, bi.Arity(), len(t.Args), t.P)
 	}
 	args := make([]string, len(t.Args))
 	for i, a := range t.Args {
@@ -355,8 +366,10 @@ func (fg *fnGen) lowerCall(t *cminus.CallExpr) (expr, error) {
 		args[i] = conv(v, tFloat).s
 	}
 	fg.g.usesMath = true
-	call := mf.goFn + "(" + strings.Join(args, ", ") + ")"
-	if mf.ret == tInt {
+	// Builtins take and return float64, like the interpreters; an int
+	// builtin truncates.
+	call := bi.Go + "(" + strings.Join(args, ", ") + ")"
+	if bi.Int {
 		return atom("int64("+call+")", tInt), nil
 	}
 	return atom(call, tFloat), nil
