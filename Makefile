@@ -33,8 +33,9 @@
 #                  with the VM; the counter_max alias on all three engines
 #   make property-soundness — the injectivity/permutation fact battery:
 #                  adversarial near-miss suite, scatter dependence tests,
-#                  the serial-vs-parallel scatter differential, and the
-#                  guard scans that verify the facts at run time, all
+#                  the serial-vs-parallel scatter differential, the
+#                  guard scans that verify the facts at run time, and
+#                  the purity property over the tier-1 sources, all
 #                  under the race detector
 #   make fault-e2e — fault-injection daemon tests (stall/panic/budget
 #                  failpoints) under the race detector
@@ -137,13 +138,14 @@ fuzz-smoke:
 # Property-lattice soundness gate: the adversarial injectivity battery
 # (near-misses must stay unclassified), the scatter dependence and
 # regression-pin tests, the lattice unit tests, the scatter
-# serial-vs-8-worker bit-identity differential, and the guard scans
-# that check the facts at region entry (internal/guard, at their edges)
-# — all with -race so the parallelized a[p[i]] writes are also checked
-# for data races.
+# serial-vs-8-worker bit-identity differential, the guard scans that
+# check the facts at region entry (internal/guard, at their edges), and
+# the purity property over the tier-1 sources (a loop tested parallel
+# calls builtins only) — all with -race so the parallelized a[p[i]]
+# writes are also checked for data races.
 property-soundness:
-	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned|TestGuardScan' \
-		./internal/phase2/ ./internal/property/ ./internal/depend/ ./internal/corpus/ ./internal/guard/
+	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned|TestGuardScan|TestPureCalls' \
+		./internal/phase2/ ./internal/property/ ./internal/depend/ ./internal/corpus/ ./internal/guard/ ./internal/core/
 
 # Fault-injection end-to-end: deterministic failpoints (stall, panic,
 # budget exhaustion) driven through the daemon's real HTTP stack, under
