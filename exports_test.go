@@ -47,6 +47,7 @@ var uncalledAllowed = map[string]string{
 	"repro.AnalyzeBatch":                       "public API of the library, documented in README.md",
 	"repro/internal/server.Server.ServeHTTP":   "http.Handler method: net/http calls it through the interface",
 	"repro/internal/symbolic.EvalBool":         "concrete evaluator the symbolic, depend and phase2 tests use as an oracle",
+	"repro/internal/symbolic.SetCacheEnabled":  "uncached reference: FuzzSimplify, the cache and alloc tests and BenchmarkAnalyzeBatch/cacheoff compare against it",
 	"repro/internal/corpus.Adversarial":        "scrambled guard workloads the corpus and codegen differential tests share",
 }
 

@@ -412,11 +412,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	// Symbolic-engine memoization (the PR 1 caches), finally observable in
 	// a running service.
 	sc := symbolic.ReadCacheStats()
-	enabled := 0.0
-	if symbolic.CacheEnabled() {
-		enabled = 1
-	}
-	writeGauge(w, "subsubd_symbolic_cache_enabled", "1 when the symbolic memoization layer is active.", enabled)
 	writeCounter(w, "subsubd_symbolic_simplify_hits_total", "Symbolic Simplify memo hits.", sc.SimplifyHits)
 	writeCounter(w, "subsubd_symbolic_simplify_misses_total", "Symbolic Simplify memo misses.", sc.SimplifyMisses)
 	writeCounter(w, "subsubd_symbolic_compare_hits_total", "Symbolic canonical-string memo hits.", sc.CompareHits)

@@ -29,9 +29,8 @@
 // deadline.
 //
 // GET /metrics exposes the serving counters in Prometheus text format,
-// GET /v1/stats (and POST, to toggle the symbolic memoization layer) is
-// the admin view — including cluster, store, and armed-failpoint state —
-// and GET /v1/health is the liveness probe. The package is stdlib-only,
+// GET /v1/stats is the admin view — including cluster, store, and
+// armed-failpoint state — and GET /v1/health is the liveness probe. The package is stdlib-only,
 // like the rest of the repository.
 package server
 
@@ -834,7 +833,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // statsJSON is the admin view served by /v1/stats.
 type statsJSON struct {
 	SymbolicCache struct {
-		Enabled        bool    `json:"enabled"`
 		SimplifyHits   int64   `json:"simplify_hits"`
 		SimplifyMisses int64   `json:"simplify_misses"`
 		CompareHits    int64   `json:"compare_hits"`
@@ -914,35 +912,14 @@ func stagesJSON(aggs []trace.StageAgg) []stageJSON {
 	return out
 }
 
-// statsUpdate is the body of POST /v1/stats; any other field is refused
-// with 400.
-type statsUpdate struct {
-	// SymbolicCacheEnabled toggles the symbolic memoization layer
-	// process-wide (symbolic.SetCacheEnabled) so cache regressions can be
-	// A/B-diagnosed on a live daemon without a restart.
-	SymbolicCacheEnabled *bool `json:"symbolic_cache_enabled"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-	case http.MethodPost:
-		var upd statsUpdate
-		if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &upd); err != nil {
-			http.Error(w, "bad stats update: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if upd.SymbolicCacheEnabled != nil {
-			symbolic.SetCacheEnabled(*upd.SymbolicCacheEnabled)
-		}
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", "GET")
+		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
 	var st statsJSON
 	sc := symbolic.ReadCacheStats()
-	st.SymbolicCache.Enabled = symbolic.CacheEnabled()
 	st.SymbolicCache.SimplifyHits = sc.SimplifyHits
 	st.SymbolicCache.SimplifyMisses = sc.SimplifyMisses
 	st.SymbolicCache.CompareHits = sc.CompareHits

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/incr"
-	"repro/internal/symbolic"
 	"repro/internal/trace"
 )
 
@@ -411,10 +410,8 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint exercises the admin endpoint, including the live
-// toggle of the symbolic memoization layer.
+// TestStatsEndpoint exercises the admin endpoint, which answers GET only.
 func TestStatsEndpoint(t *testing.T) {
-	defer symbolic.SetCacheEnabled(true)
 	s := New(Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -423,7 +420,6 @@ func TestStatsEndpoint(t *testing.T) {
 
 	var st struct {
 		SymbolicCache struct {
-			Enabled      bool  `json:"enabled"`
 			SimplifyHits int64 `json:"simplify_hits"`
 		} `json:"symbolic_cache"`
 		ResultCache struct {
@@ -438,9 +434,6 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(fetch(t, ts.URL+"/v1/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.SymbolicCache.Enabled {
-		t.Fatal("symbolic cache should be enabled by default")
-	}
 	if st.ResultCache.Entries != 1 || st.Server.Requests != 1 || st.Server.Analyses != 1 {
 		t.Fatalf("stats after one analysis: %+v", st)
 	}
@@ -448,36 +441,15 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal("stats missing worker capacity")
 	}
 
-	// A misspelt toggle is refused and toggles nothing.
 	resp, err := http.Post(ts.URL+"/v1/stats", "application/json",
-		strings.NewReader(`{"symbolic_cache_enable": false}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("misspelt stats toggle: status %d, want 400", resp.StatusCode)
-	}
-	if !symbolic.CacheEnabled() {
-		t.Fatal("a refused stats update toggled the symbolic cache")
-	}
-
-	// Toggle the symbolic cache off via POST and observe it in the reply.
-	resp, err = http.Post(ts.URL+"/v1/stats", "application/json",
 		strings.NewReader(`{"symbolic_cache_enabled": false}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err := json.Unmarshal(b, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.SymbolicCache.Enabled {
-		t.Fatal("POST did not disable the symbolic cache")
-	}
-	if symbolic.CacheEnabled() {
-		t.Fatal("symbolic.CacheEnabled still true after admin toggle")
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET" {
+		t.Fatalf("POST /v1/stats: status %d, Allow %q; want 405, GET",
+			resp.StatusCode, resp.Header.Get("Allow"))
 	}
 }
 

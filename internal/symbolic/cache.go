@@ -133,15 +133,13 @@ var (
 	internCount atomic.Int64
 )
 
-// SetCacheEnabled toggles the memoization layer (used by tests and A/B
-// benchmarks) and returns the previous setting. The cache is enabled by
-// default; disabling does not clear stored entries.
+// SetCacheEnabled toggles the memoization layer and returns the
+// previous setting. The cache is enabled by default; disabling does not
+// clear stored entries. Disabled, the engine is the uncached reference
+// the symbolic tests and the cacheoff benchmark compare against.
 func SetCacheEnabled(on bool) bool {
 	return !cacheOff.Swap(!on)
 }
-
-// CacheEnabled reports whether the memoization layer is active.
-func CacheEnabled() bool { return !cacheOff.Load() }
 
 // ResetCache empties every cache and zeroes the counters. It drops the
 // shard maps rather than clearing them, so the next pass pays for its
