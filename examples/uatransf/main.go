@@ -31,7 +31,7 @@ func main() {
 	sort.Strings(labels)
 	for _, lbl := range labels {
 		agg := fa.Loops[lbl]
-		fmt.Printf("loop %s Phase-1 SVD:\n  %s\n", lbl, fa.Phase1[lbl].Final)
+		fmt.Printf("loop %s Phase-1 SVD:\n  %s\n", lbl, agg.SVD)
 		if w, ok := agg.Collapsed.Arrays["idel"]; ok && len(w) > 0 {
 			fmt.Printf("loop %s Phase-2 aggregate for idel:\n  idel%s\n", lbl, w[0])
 		}

@@ -593,7 +593,7 @@ func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) e
 	conds = append(conds, guards...)
 
 	flag := "rtPar_" + x.Label
-	fg.line("// %s: %s", x.Label, parallelize.PragmaFor(d))
+	fg.line("// %s: %s", x.Label, fg.fp.Pragmas[x.Label])
 	fg.line("%s := false", flag)
 	fg.line("if rtWorkers > 1 {")
 	fg.depth++

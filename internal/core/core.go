@@ -276,7 +276,7 @@ func (r *Result) Properties() []*property.ArrayProperty {
 // AnnotatedSource renders the normalized program with OpenMP pragmas on
 // every loop the analysis parallelized.
 func (r *Result) AnnotatedSource() string {
-	return cminus.Print(r.Plan.Program())
+	return cminus.PrintAnnotated(r.Plan.Program(), r.Plan.LoopPragmas)
 }
 
 // Summary renders a human-readable report of properties and per-loop

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/parallelize"
 	"repro/internal/property"
 	"repro/internal/symbolic"
 )
@@ -187,7 +186,7 @@ func (r *Result) JSON(name string, annotate bool) ResultJSON {
 				UsedProperties: lp.Decision.UsedProperties,
 			}
 			if lp.Chosen {
-				lj.Pragma = parallelize.PragmaFor(lp.Decision)
+				lj.Pragma = fp.Pragmas[lbl]
 			} else {
 				lj.Reason = lp.Decision.Reason
 			}

@@ -342,19 +342,20 @@ func Adversarial(b *Benchmark, s Scramble) (*Work, error) {
 		return nil, err
 	}
 	w.Calls = []Call{kernel}
-	fp := PlanFor(b, phase2.LevelNew).Funcs[b.KernelFunc]
+	plan := PlanFor(b, phase2.LevelNew)
+	fn, fp := plan.Program().Func(b.KernelFunc), plan.Funcs[b.KernelFunc]
 	arg := map[string]interp.Arg{}
-	for i, p := range fp.Annotated.Params {
+	for i, p := range fn.Params {
 		arg[p.Name] = kernel.Args[i]
 	}
-	loops := cminus.NumberLoops(fp.Annotated.Body)
 	guarded := false
-	for _, lp := range fp.ByIndex {
+	for _, loop := range cminus.NumberLoops(fn.Body) {
+		lp := fp.Loops[loop.Label]
 		if lp == nil || !lp.Chosen {
 			continue
 		}
 		var n int
-		if _, bound, err := parallelize.Canonical(loops[lp.Index]); err == nil {
+		if _, bound, err := parallelize.Canonical(loop); err == nil {
 			if id, ok := bound.(*cminus.Ident); ok {
 				n, _ = arg[id.Name].(int)
 			}

@@ -141,19 +141,20 @@ func (s *Store) PutAnalysis(key, fn string, fa *phase2.FuncAnalysis) {
 	s.put(key, fa)
 }
 
-// GetPlans returns the cached Pass-2 loop plans for a plan key.
-func (s *Store) GetPlans(key, fn string) ([]parallelize.LoopPlan, bool) {
+// GetPlans returns the cached Pass-2 plan map for a plan key. The
+// returned map is shared and must be treated as immutable.
+func (s *Store) GetPlans(key, fn string) (map[string]*parallelize.LoopPlan, bool) {
 	v, ok := s.get(key)
 	if !ok {
 		s.planMisses.Add(1)
 		return nil, false
 	}
 	s.planHits.Add(1)
-	return v.([]parallelize.LoopPlan), true
+	return v.(map[string]*parallelize.LoopPlan), true
 }
 
-// PutPlans stores a function's Pass-2 loop plans under their plan key.
-func (s *Store) PutPlans(key, fn string, plans []parallelize.LoopPlan) {
+// PutPlans stores a function's Pass-2 plan map under its plan key.
+func (s *Store) PutPlans(key, fn string, plans map[string]*parallelize.LoopPlan) {
 	s.put(key, plans)
 }
 
@@ -237,7 +238,7 @@ func (t *Tally) GetAnalysis(key, fn string) (*phase2.FuncAnalysis, bool) {
 }
 
 // GetPlans consults the store and counts the outcome against fn.
-func (t *Tally) GetPlans(key, fn string) ([]parallelize.LoopPlan, bool) {
+func (t *Tally) GetPlans(key, fn string) (map[string]*parallelize.LoopPlan, bool) {
 	plans, ok := t.Store.GetPlans(key, fn)
 	t.mu.Lock()
 	if c := t.row(fn); ok {

@@ -81,7 +81,6 @@ type resolver struct {
 	// unbound: nothing binds it, so each access fails its nil check.
 	unbound *arraySym
 	fp      *parallelize.FuncPlan
-	loops   []*cminus.ForStmt // dense source-order loop ids
 }
 
 // newResolver runs the resolution pass of fn for m, laying its slots out
@@ -95,7 +94,6 @@ func newResolver(m *Machine, fn *cminus.FuncDecl, bf *bfunc) *resolver {
 		scalars: map[*cminus.Binding]*scalarSym{},
 		arrays:  map[*cminus.Binding]*arraySym{},
 		fp:      m.funcPlan(fn.Name),
-		loops:   cminus.NumberLoops(fn.Body),
 	}
 	r.resolve()
 	return r
@@ -146,7 +144,7 @@ func (r *resolver) resolve() {
 		r.bf.nCells++
 		r.bf.entryCells = append(r.bf.entryCells, entryCell{slot: s.idx, g: s.g})
 	}
-	for _, loop := range r.loops {
+	for _, loop := range cminus.NumberLoops(r.fn.Body) {
 		lp := r.planFor(loop)
 		if lp == nil || !lp.Chosen {
 			continue
@@ -164,19 +162,10 @@ func (r *resolver) resolve() {
 	}
 }
 
-// planFor finds the plan for a loop by its dense id, falling back to the
-// label map when the ids disagree (e.g. a hand-built plan).
+// planFor finds the plan for a loop by its label.
 func (r *resolver) planFor(loop *cminus.ForStmt) *parallelize.LoopPlan {
 	if r.fp == nil {
 		return nil
-	}
-	for i, l := range r.loops {
-		if l == loop {
-			if lp := r.fp.LoopAt(i); lp != nil && lp.Label == loop.Label {
-				return lp
-			}
-			break
-		}
 	}
 	return r.fp.Loops[loop.Label]
 }

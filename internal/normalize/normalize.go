@@ -51,9 +51,6 @@ func Func(f *cminus.FuncDecl) *Result {
 	cp.Body = cminus.CloneBlock(f.Body)
 	n := &normalizer{loops: map[string]*LoopMeta{}}
 	cp.Body = n.normalizeBlock(cp.Body)
-	for _, lm := range n.loops {
-		_ = lm
-	}
 	return &Result{Func: cp, Loops: n.loops}
 }
 

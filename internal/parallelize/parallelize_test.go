@@ -90,12 +90,14 @@ func TestAMGPlanLevels(t *testing.T) {
 	}
 }
 
-// TestAnnotatedSource: the chosen loop carries the OpenMP pragma with the
-// paper's run-time check in the if clause.
+// TestAnnotatedSource: printed through the plan's pragmas, the chosen
+// loop carries the OpenMP pragma with the paper's run-time check in the
+// if clause.
 func TestAnnotatedSource(t *testing.T) {
 	prog := cminus.MustParse(amgProgram)
 	plan := Run(prog, phase2.LevelNew, nil)
-	src := cminus.Print(&cminus.Program{Funcs: []*cminus.FuncDecl{plan.Funcs["kernel"].Annotated}})
+	kernel := plan.Program().Func("kernel")
+	src := cminus.PrintAnnotated(&cminus.Program{Funcs: []*cminus.FuncDecl{kernel}}, plan.LoopPragmas)
 	if !strings.Contains(src, "#pragma omp parallel for if(-1+num_rownnz<=irownnz_max)") {
 		t.Errorf("missing pragma with runtime check:\n%s", src)
 	}
@@ -142,7 +144,7 @@ void f(int n, double *a, double *b) {
 	if lp == nil || !lp.Chosen {
 		t.Fatalf("loop should be parallel: %+v", lp)
 	}
-	pragma := PragmaFor(lp.Decision)
+	pragma := fp.Pragmas[lp.Label]
 	if !strings.Contains(pragma, "private(s)") {
 		t.Errorf("pragma = %s", pragma)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"sort"
 
 	"repro/internal/phase2"
 	"repro/internal/property"
@@ -14,17 +13,16 @@ import (
 // FuncCache is the per-function unit cache Run consults when
 // Options.Reuse is set (implemented by incr.Store). The analysis tier
 // holds Pass-1 results keyed by the function's content-addressed unit
-// key; the plan tier holds Pass-2 loop plans keyed by the unit key plus
-// a digest of the merged property database (Pass 2 reads facts other
-// functions contribute, so its key must cover them). Values returned
-// from Get are shared across runs and must be treated as immutable;
-// plans are stored as values and re-pointered per run because
-// FuncPlan.indexLoops mutates LoopPlan.Index.
+// key; the plan tier holds a function's Pass-2 plan map (FuncPlan.Loops)
+// keyed by the unit key plus a digest of the merged property database
+// (Pass 2 reads facts other functions contribute, so its key must cover
+// them). Both tiers store what Run computed and return it as stored: the
+// values are shared across runs and never modified.
 type FuncCache interface {
 	GetAnalysis(key, fn string) (*phase2.FuncAnalysis, bool)
 	PutAnalysis(key, fn string, fa *phase2.FuncAnalysis)
-	GetPlans(key, fn string) ([]LoopPlan, bool)
-	PutPlans(key, fn string, plans []LoopPlan)
+	GetPlans(key, fn string) (map[string]*LoopPlan, bool)
+	PutPlans(key, fn string, plans map[string]*LoopPlan)
 }
 
 // Reuse configures incremental per-function reuse for one Run.
@@ -88,26 +86,4 @@ func PropsDigest(db *property.DB) string {
 // unit key and the merged-DB digest.
 func PlanKey(unitKey, propsDigest string) string {
 	return unitKey + "\x00plans\x00" + propsDigest
-}
-
-// flattenPlans snapshots a function's loop plans as cacheable values,
-// sorted by label, with the per-run Index field normalized away.
-func flattenPlans(loops map[string]*LoopPlan) []LoopPlan {
-	out := make([]LoopPlan, 0, len(loops))
-	for _, lp := range loops {
-		cp := *lp
-		cp.Index = -1
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
-}
-
-// installPlans replays cached plan values into a fresh per-run map with
-// fresh pointers (indexLoops mutates them).
-func installPlans(fp *FuncPlan, plans []LoopPlan) {
-	for _, lp := range plans {
-		cp := lp
-		fp.Loops[cp.Label] = &cp
-	}
 }

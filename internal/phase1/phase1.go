@@ -122,14 +122,10 @@ type Config struct {
 type Result struct {
 	// Final is the SVD at the last node (SVD_stn in the paper).
 	Final *State
-	// PerNode holds the SVD after each CFG node, indexed by node ID.
-	PerNode []*State
 	// LVVs lists the loop-variant scalar variables.
 	LVVs []string
 	// ArraysWritten lists arrays assigned in the loop body.
 	ArraysWritten []string
-	// Graph is the analyzed CFG.
-	Graph *cfg.Graph
 }
 
 // AssignedVars returns the scalars and arrays assigned anywhere in the
@@ -183,12 +179,7 @@ func Run(body *cminus.Block, cf *Config) (*Result, error) {
 	}
 	scalars, arrays := AssignedVars(body, cf.Collapsed)
 
-	res := &Result{
-		LVVs:          scalars,
-		ArraysWritten: arrays,
-		Graph:         g,
-		PerNode:       make([]*State, len(g.Nodes)),
-	}
+	res := &Result{LVVs: scalars, ArraysWritten: arrays}
 
 	lvv := map[string]bool{}
 	for _, s := range scalars {
@@ -245,7 +236,9 @@ func Run(body *cminus.Block, cf *Config) (*Result, error) {
 			out = in.clone()
 			ex.applyCollapsed(out, n.Stmt, inCond)
 		}
-		res.PerNode[n.ID] = out
+		if n == g.Exit {
+			res.Final = out
+		}
 
 		// Propagate along out edges.
 		for _, e := range n.Succs {
@@ -261,7 +254,6 @@ func Run(body *cminus.Block, cf *Config) (*Result, error) {
 			facts[e] = f
 		}
 	}
-	res.Final = res.PerNode[g.Exit.ID]
 	return res, nil
 }
 
