@@ -255,16 +255,12 @@ func TestInjectivityBattery(t *testing.T) {
 
 // TestInjectivityGating: the recognizer and the swap preservation are
 // LevelNew capabilities; Base keeps only the Strict-implies-injective
-// facts, and the ablation toggle disables the whole extension.
+// facts.
 func TestInjectivityGating(t *testing.T) {
 	interleave := injectCases[4].fill
 	prog := cminus.MustParse(interleave)
 	if fa := phase2.AnalyzeFunc(prog.Func("fill"), phase2.LevelBase, nil); fa.Props.BestInjective("p") != nil {
 		t.Error("Base must not run the injectivity recognizer")
-	}
-	fa := phase2.AnalyzeFuncOpts(prog.Func("fill"), phase2.LevelNew, nil, phase2.Opts{DisableInjectivity: true})
-	if fa.Props.BestInjective("p") != nil {
-		t.Error("DisableInjectivity must suppress the recognizer")
 	}
 	shuffle := injectCases[5].fill
 	prog = cminus.MustParse(shuffle)
