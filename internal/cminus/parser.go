@@ -675,7 +675,14 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &IntLit{Val: v, P: t.Pos}, nil
 	case TokFloat:
 		p.next()
-		return &FloatLit{Text: t.Text, P: t.Pos}, nil
+		// A constant must be representable in its type (C11 6.4.4p2):
+		// a double that overflows is refused, one that underflows to 0
+		// stays legal, as in C and Go.
+		v, err := strconv.ParseFloat(t.Text, 64)
+		if err != nil {
+			return nil, fmt.Errorf("cminus: %s: bad float %q: %v", t.Pos, t.Text, err)
+		}
+		return &FloatLit{Val: v, Text: t.Text, P: t.Pos}, nil
 	case TokString:
 		p.next()
 		return &StringLit{Text: t.Text, P: t.Pos}, nil

@@ -221,6 +221,51 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseFloatLiterals: the parser reads a float literal once, with
+// Go's strconv.ParseFloat. It refuses a malformed literal and one that
+// overflows a double, each with its position, and keeps an underflow
+// (0 or a subnormal) and the literal's text.
+func TestParseFloatLiterals(t *testing.T) {
+	lit := func(src string) (*FloatLit, error) {
+		prog, err := Parse("void f(double *out) { out[0] = " + src + "; }")
+		if err != nil {
+			return nil, err
+		}
+		return prog.Funcs[0].Body.Stmts[0].(*AssignStmt).RHS.(*FloatLit), nil
+	}
+	for _, c := range []struct {
+		src  string
+		val  float64
+		text string
+	}{
+		{"1.5", 1.5, "1.5"},
+		{"2.5f", 2.5, "2.5"},
+		{"1e308", 1e308, "1e308"},
+		{"5e-324", 5e-324, "5e-324"},
+		{"1e-400", 0, "1e-400"},
+		{".5", 0.5, ".5"},
+		{"1.e2", 100, "1.e2"},
+	} {
+		x, err := lit(c.src)
+		if err != nil {
+			t.Errorf("%s: %v", c.src, err)
+			continue
+		}
+		if x.Val != c.val || x.Text != c.text {
+			t.Errorf("%s: value %v text %q, want %v %q", c.src, x.Val, x.Text, c.val, c.text)
+		}
+	}
+	for _, c := range []struct{ src, want string }{
+		{"1.2.3", `cminus: 1:32: bad float "1.2.3": strconv.ParseFloat: parsing "1.2.3": invalid syntax`},
+		{"1e400", `cminus: 1:32: bad float "1e400": strconv.ParseFloat: parsing "1e400": value out of range`},
+		{"-1e309", `cminus: 1:33: bad float "1e309": strconv.ParseFloat: parsing "1e309": value out of range`},
+	} {
+		if _, err := lit(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
 func TestPrintRoundTrip(t *testing.T) {
 	// Printing then reparsing must produce the same printed form.
 	srcs := []string{amgFillSrc,

@@ -181,7 +181,9 @@ func (fg *fnGen) lowerExpr(x cminus.Expr) (expr, error) {
 	case *cminus.IntLit:
 		return expr{s: strconv.FormatInt(t.Val, 10), prec: precAtom, t: tInt, k: true}, nil
 	case *cminus.FloatLit:
-		return expr{s: floatText(t.Text), prec: precAtom, t: tFloat, k: true}, nil
+		// The lexer dropped C's suffixes and the parser read the text
+		// with strconv.ParseFloat, so it is a Go literal of t.Val.
+		return expr{s: t.Text, prec: precAtom, t: tFloat, k: true}, nil
 	case *cminus.StringLit:
 		// The interpreter evaluates string literals to integer 0.
 		return expr{s: "0", prec: precAtom, t: tInt, k: true}, nil
@@ -408,11 +410,4 @@ func (fg *fnGen) lowerUserCall(fn *cminus.FuncDecl, t *cminus.CallExpr) (expr, e
 		ret = tFloat
 	}
 	return atom(fg.g.goName(fn.Name)+"("+strings.Join(args, ", ")+")", ret), nil
-}
-
-// floatText sanitizes a C float literal for Go: C suffixes (f, F, l, L)
-// are dropped; the remaining spelling is a valid Go literal denoting
-// the same shortest-round-trip float64 the interpreter's %g scan reads.
-func floatText(text string) string {
-	return strings.TrimRight(text, "fFlL")
 }

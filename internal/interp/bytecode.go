@@ -802,12 +802,7 @@ func (bc *bcCompiler) emitITo(e cminus.Expr, dst int32) {
 func (bc *bcCompiler) emitFTo(e cminus.Expr, dst int32) {
 	switch x := e.(type) {
 	case *cminus.FloatLit:
-		var v float64
-		if _, err := fmt.Sscanf(x.Text, "%g", &v); err != nil {
-			bc.errOp("interp: bad float %q", x.Text)
-			return
-		}
-		bc.emit(Instr{Op: opFConst, A: dst, KF: v})
+		bc.emit(Instr{Op: opFConst, A: dst, KF: x.Val})
 		return
 	case *cminus.Ident:
 		bc.scalarReadFTo(x, dst)
@@ -1292,12 +1287,8 @@ func (bc *bcCompiler) emitIncDecFTo(x *cminus.UnaryExpr, dst int32) {
 // standalone nil/rank pre-check (opARank ordering) before subscripts.
 func (bc *bcCompiler) pureExpr(e cminus.Expr) bool {
 	switch x := e.(type) {
-	case *cminus.IntLit, *cminus.StringLit:
+	case *cminus.IntLit, *cminus.FloatLit, *cminus.StringLit:
 		return true
-	case *cminus.FloatLit:
-		var v float64
-		_, err := fmt.Sscanf(x.Text, "%g", &v)
-		return err == nil // a malformed literal throws "bad float"
 	case *cminus.Ident:
 		return bc.r.sym(x).kind != syUnbound
 	case *cminus.BinaryExpr:

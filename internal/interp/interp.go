@@ -439,11 +439,7 @@ func (m *Machine) eval(x cminus.Expr, e *env) (Value, error) {
 	case *cminus.IntLit:
 		return IntVal(t.Val), nil
 	case *cminus.FloatLit:
-		var f float64
-		if _, err := fmt.Sscanf(t.Text, "%g", &f); err != nil {
-			return Value{}, fmt.Errorf("interp: bad float %q", t.Text)
-		}
-		return FloatVal(f), nil
+		return FloatVal(t.Val), nil
 	case *cminus.StringLit:
 		return IntVal(0), nil
 	case *cminus.Ident:
