@@ -11,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cminus"
+	"repro/internal/corpus"
 	"repro/internal/incr"
+	"repro/internal/interp"
 )
 
 // incrBase is the edit script's starting point: a subscript-array
@@ -184,5 +187,56 @@ void other(int n, double *b) {
 	warm := analyzeBytes(t, edited, opt)
 	if !bytes.Equal(cold, warm) {
 		t.Error("callee-edit incremental output differs from cold run")
+	}
+}
+
+// TestIncrSharedBodyReadOnly: the unit store shares each function's
+// normalized body across analyses, and that body is the program every
+// engine runs, so nothing may write to it. Two analyses of a guarded
+// corpus program through one store must return the same function
+// objects, and running the second plan on the VM and the tree walker
+// at 1 and 2 workers must leave the first result's annotated source and
+// a plain print of the shared bodies byte-identical.
+func TestIncrSharedBodyReadOnly(t *testing.T) {
+	b := corpus.AMGmk
+	opt := Options{Level: New, AssumePositive: b.AssumePositive, Incremental: incr.NewStore(0)}
+	first, err := Analyze(b.Source, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Analyze(b.Source, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, again := first.Plan.Program(), second.Plan.Program()
+	if got := second.Plan.Incr; got.FuncMisses != 0 || got.FuncHits != len(shared.Funcs) {
+		t.Fatalf("second analysis: Incr = %+v, want every function replayed", got)
+	}
+	for i, fn := range shared.Funcs {
+		if again.Funcs[i] != fn {
+			t.Errorf("function %s: the second plan holds a copy, not the stored body", fn.Name)
+		}
+	}
+	annotated, plain := first.AnnotatedSource(), cminus.Print(shared)
+	for _, engine := range interp.Engines() {
+		for _, workers := range []int{1, 2} {
+			m, err := second.NewMachine(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Interp = engine
+			if err := corpus.NewWork(b, corpus.ScaleQuick).Run(m); err != nil {
+				t.Fatalf("%s@%d: %v", engine, workers, err)
+			}
+			if workers > 1 && m.Stats.ParallelRegions == 0 {
+				t.Errorf("%s@%d: no parallel region ran", engine, workers)
+			}
+		}
+	}
+	if got := first.AnnotatedSource(); got != annotated {
+		t.Errorf("running the plan changed the annotated source:\nbefore:\n%s\nafter:\n%s", annotated, got)
+	}
+	if got := cminus.Print(shared); got != plain {
+		t.Errorf("running the plan changed the shared bodies:\nbefore:\n%s\nafter:\n%s", plain, got)
 	}
 }
