@@ -139,12 +139,13 @@ fuzz-smoke:
 # (near-misses must stay unclassified), the scatter dependence and
 # regression-pin tests, the lattice unit tests, the scatter
 # serial-vs-8-worker bit-identity differential, the guard scans that
-# check the facts at region entry (internal/guard, at their edges), and
+# check the facts at region entry (internal/guard, at their edges),
 # the purity property over the tier-1 sources (a loop tested parallel
-# calls builtins only) — all with -race so the parallelized a[p[i]]
-# writes are also checked for data races.
+# calls builtins only) and the nonlinear pins (a subscript or fill value
+# that is not linear in the loop index proves nothing) — all with -race
+# so the parallelized a[p[i]] writes are also checked for data races.
 property-soundness:
-	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned|TestGuardScan|TestPureCalls' \
+	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned|TestGuardScan|TestPureCalls|TestNonlinear' \
 		./internal/phase2/ ./internal/property/ ./internal/depend/ ./internal/corpus/ ./internal/guard/ ./internal/core/
 
 # Fault-injection end-to-end: deterministic failpoints (stall, panic,

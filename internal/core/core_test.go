@@ -123,3 +123,41 @@ func TestVerifyUnknownOutput(t *testing.T) {
 		t.Error("expected unknown-output error")
 	}
 }
+
+// nonlinearFillSrc fills idx with a value cubic in the loop index,
+// 6*i - i*(i-1)*(i-2): 0, 6, 12, 12, 0 at i = 0..4, neither monotone nor
+// injective, though its values at i = 0, 1 and 2 lie on the line 6*i.
+const nonlinearFillSrc = `
+void f(int n, int *idx, double *x, double *y) {
+    int i, j;
+    for (i = 0; i < n; i++) {
+        idx[i] = 6*i - i*(i-1)*(i-2);
+    }
+    for (j = 0; j < n; j++) {
+        y[idx[j]] = x[j];
+    }
+}
+`
+
+// TestNonlinearFillNoFact: the fill records no fact about idx, and the
+// scatter through idx stays serial.
+func TestNonlinearFillNoFact(t *testing.T) {
+	for _, level := range []Level{Base, New} {
+		res, err := Analyze(nonlinearFillSrc, Options{Level: level, AssumePositive: []string{"n"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Properties() {
+			if p.Array == "idx" {
+				t.Errorf("%s: fact %s names idx", level, p)
+			}
+		}
+		use := res.Plan.Funcs["f"].Loops["L2"]
+		if use == nil {
+			t.Fatalf("%s: no loop L2:\n%s", level, res.Summary())
+		}
+		if use.Decision.Parallel {
+			t.Errorf("%s: the scatter y[idx[j]] is parallel, want serial", level)
+		}
+	}
+}

@@ -168,6 +168,11 @@ var fuzzSeeds = []string{
 	// A serial loop calls its bound on every iteration, a parallel one
 	// once: a call in the header keeps the loop serial too.
 	`int g(int *c, int n) { c[0] = c[0] + 1; return n; } void kern(int n, int *c, double *y) { int i; for (i = 0; i < g(c, n); i++) { y[i] = 1.0; } }`,
+	// A subscript and a fill value cubic in the loop index whose values
+	// at i = 0, 1 and 2 lie on a line: neither is linear, so neither
+	// loop nor fact may rest on a linear decomposition.
+	`void f(int n, double *a, double *b) { int i; for (i = 0; i < n; i++) { a[6*i - i*(i-1)*(i-2)] = a[6*i - i*(i-1)*(i-2)] + b[i]; } }`,
+	`void f(int n, int *idx, double *x, double *y) { int i, j; for (i = 0; i < n; i++) { idx[i] = 6*i - i*(i-1)*(i-2); } for (j = 0; j < n; j++) { y[idx[j]] = x[j]; } }`,
 }
 
 func FuzzAnalyze(f *testing.F) {

@@ -649,3 +649,35 @@ func TestUAPinnedClassification(t *testing.T) {
 		}
 	}
 }
+
+// nonlinearSrc writes through a subscript cubic in the loop index. Its
+// values at i = 0, 1 and 2 (0, 6, 12) lie on the line 6*i, but at
+// i = 0..4 it takes 0, 6, 12, 12, 0: iterations 2 and 3, and 0 and 4,
+// touch the same element.
+const nonlinearSrc = `
+void scatter(int n, double *a, double *b) {
+    int i;
+    for (i = 0; i < n; i++) {
+        a[6*i - i*(i-1)*(i-2)] = b[i];
+    }
+}
+void update(int n, double *a) {
+    int i;
+    for (i = 0; i < n; i++) {
+        a[6*i - i*(i-1)*(i-2)] = a[6*i - i*(i-1)*(i-2)] + 1.0;
+    }
+}
+`
+
+// TestNonlinearSubscriptSerial: a subscript that is not linear in the
+// loop index keeps the loop serial at every level, a write alone and a
+// read-modify-write alike.
+func TestNonlinearSubscriptSerial(t *testing.T) {
+	for _, kern := range []string{"scatter", "update"} {
+		for _, level := range []phase2.Level{phase2.LevelClassical, phase2.LevelBase, phase2.LevelNew} {
+			if d := analyzeLoop(t, nonlinearSrc, "", kern, 1, level); d.Parallel {
+				t.Errorf("%s at %s: parallel, want serial", kern, level)
+			}
+		}
+	}
+}
