@@ -216,15 +216,22 @@ func (t *Tester) disjointDim(s1, s2 symbolic.Expr, info *LoopAccessInfo, d *Deci
 		return false
 	}
 	v := info.Meta.Var
-	// Case 1: affine subscripts with a common coefficient large enough to
-	// out-stride the residual ranges (classical range test).
-	if t.affineDisjoint(s1, s2, v, info) {
-		return true
-	}
-	// Case 1b: affine subscripts whose residual difference misses every
-	// multiple of the coefficient gcd (classical GCD test).
-	if t.gcdDisjoint(s1, s2, v, info) {
-		return true
+	x := symbolic.NewSym(v)
+	a1, r1, ok1 := symbolic.LinearIn(s1, x)
+	a2, r2, ok2 := symbolic.LinearIn(s2, x)
+	if ok1 && ok2 {
+		l1, l2 := linear{a1, r1}, linear{a2, r2}
+		// Case 1: affine subscripts with a common coefficient large
+		// enough to out-stride the residual ranges (classical range
+		// test).
+		if t.affineDisjoint(l1, l2, info) {
+			return true
+		}
+		// Case 1b: affine subscripts whose residual difference misses
+		// every multiple of the coefficient gcd (classical GCD test).
+		if t.gcdDisjoint(l1, l2, info) {
+			return true
+		}
 	}
 	// Case 2: identical subscripted subscript idx[g(v)] with idx known
 	// injective (strictly monotonic).
@@ -244,12 +251,15 @@ func (t *Tester) disjointDim(s1, s2 symbolic.Expr, info *LoopAccessInfo, d *Deci
 	return false
 }
 
+// linear is a subscript split as alpha*v + rest in the tested loop's
+// index v (symbolic.LinearIn); rest may reference inner-loop variables.
+type linear struct{ alpha, rest symbolic.Expr }
+
 // affineDisjoint: s1 = a*v + r1, s2 = a*v + r2 with residual ranges
 // narrower than the stride a.
-func (t *Tester) affineDisjoint(s1, s2 symbolic.Expr, v string, info *LoopAccessInfo) bool {
-	a1, r1, ok1 := linearIn(s1, v)
-	a2, r2, ok2 := linearIn(s2, v)
-	if !ok1 || !ok2 || !symbolic.Equal(a1, a2) {
+func (t *Tester) affineDisjoint(s1, s2 linear, info *LoopAccessInfo) bool {
+	a1, r1, r2 := s1.alpha, s1.rest, s2.rest
+	if !symbolic.Equal(a1, s2.alpha) {
 		return false
 	}
 	if symbolic.SignOf(a1, t.Dict) != symbolic.SignPositive {
@@ -280,12 +290,13 @@ func (t *Tester) affineDisjoint(s1, s2 symbolic.Expr, v string, info *LoopAccess
 // residual difference interval contains no such value, the accesses are
 // independent for *any* pair of iterations (e.g. a[2i] never meets
 // a[2i+1]).
-func (t *Tester) gcdDisjoint(s1, s2 symbolic.Expr, v string, info *LoopAccessInfo) bool {
-	a1, r1, ok1 := linearIntCoef(s1, v)
-	a2, r2, ok2 := linearIntCoef(s2, v)
+func (t *Tester) gcdDisjoint(s1, s2 linear, info *LoopAccessInfo) bool {
+	a1, ok1 := symbolic.AsInt(s1.alpha)
+	a2, ok2 := symbolic.AsInt(s2.alpha)
 	if !ok1 || !ok2 || a1 == 0 || a2 == 0 {
 		return false
 	}
+	r1, r2 := s1.rest, s2.rest
 	g := gcd64(abs64(a1), abs64(a2))
 	if g <= 1 {
 		return false
@@ -385,8 +396,7 @@ func (t *Tester) injectiveSubscript(s1, s2 symbolic.Expr, v string, info *LoopAc
 		return false
 	}
 	g := ar1.Indices[0]
-	coef, _, ok := linearIntCoef(g, v)
-	if !ok || coef == 0 {
+	if coef, ok := linearIntCoef(g, v); !ok || coef == 0 {
 		return false
 	}
 	// BestInjective accepts any fact that implies injectivity of the
@@ -450,8 +460,7 @@ func (t *Tester) disjointWindows(s1, s2 symbolic.Expr, v string, info *LoopAcces
 		return false
 	}
 	f := ar.Indices[0]
-	coef, _, okc := linearIntCoef(f, v)
-	if !okc || coef == 0 {
+	if coef, ok := linearIntCoef(f, v); !ok || coef == 0 {
 		return false
 	}
 	// The inner variable's range must be exactly the window width:
@@ -529,8 +538,7 @@ func (t *Tester) multiDimDisjoint(s1, s2 symbolic.Expr, v string, info *LoopAcce
 	if !symbolic.Equal(g1, g2) {
 		return false
 	}
-	coef, _, ok := linearIntCoef(g1, v)
-	if !ok || coef == 0 {
+	if coef, ok := linearIntCoef(g1, v); !ok || coef == 0 {
 		return false
 	}
 	useProperty(d, p)
@@ -569,46 +577,12 @@ func (t *Tester) emitSectionCheck(p *property.ArrayProperty, g symbolic.Expr, v 
 	d.RuntimeChecks = append(d.RuntimeChecks, check)
 }
 
-// linearIn decomposes e = alpha*v + rest by probing (same technique as
-// Phase 2); alpha and rest may reference inner-loop variables.
-func linearIn(e symbolic.Expr, v string) (alpha, rest symbolic.Expr, ok bool) {
-	f0 := symbolic.Substitute(e, symbolic.Subst{v: symbolic.Zero})
-	f1 := symbolic.Substitute(e, symbolic.Subst{v: symbolic.One})
-	f2 := symbolic.Substitute(e, symbolic.Subst{v: symbolic.NewInt(2)})
-	if symbolic.IsBottom(f0) || symbolic.IsBottom(f1) || symbolic.IsBottom(f2) {
-		return nil, nil, false
-	}
-	// The variable must not occur inside opaque atoms (array refs).
-	opaque := false
-	symbolic.Walk(e, func(x symbolic.Expr) bool {
-		switch x.(type) {
-		case symbolic.ArrayRef, symbolic.Call, symbolic.Div, symbolic.Mod:
-			if symbolic.ContainsSym(x, v) {
-				opaque = true
-			}
-		}
-		return !opaque
-	})
-	if opaque {
-		return nil, nil, false
-	}
-	d1 := symbolic.SubExpr(f1, f0)
-	d2 := symbolic.SubExpr(f2, f1)
-	if !symbolic.Equal(d1, d2) {
-		return nil, nil, false
-	}
-	return symbolic.Simplify(d1), symbolic.Simplify(f0), true
-}
-
-// linearIntCoef is linearIn restricted to integer coefficients.
-func linearIntCoef(e symbolic.Expr, v string) (int64, symbolic.Expr, bool) {
-	alpha, rest, ok := linearIn(e, v)
+// linearIntCoef returns the coefficient of v in e when e is linear in v
+// with an integer coefficient.
+func linearIntCoef(e symbolic.Expr, v string) (int64, bool) {
+	alpha, _, ok := symbolic.LinearIn(e, symbolic.NewSym(v))
 	if !ok {
-		return 0, nil, false
+		return 0, false
 	}
-	c, isInt := symbolic.AsInt(alpha)
-	if !isInt {
-		return 0, nil, false
-	}
-	return c, rest, true
+	return symbolic.AsInt(alpha)
 }

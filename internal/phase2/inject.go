@@ -80,11 +80,11 @@ func (ag *aggregator) isInjectiveArray(arr string, writes []phase1.ArrayWrite, m
 			return injectVerdict{}, false
 		}
 		// Subscript: α·i + β with a common integer stride.
-		aE, bE, ok := ag.linearIn(w.Indices[0], iv)
+		aE, bE, ok := symbolic.LinearIn(w.Indices[0], iv)
 		if !ok || !ag.isInvariant(aE) || !ag.isInvariant(bE) {
 			return injectVerdict{}, false
 		}
-		a, isInt := symbolic.AsInt(symbolic.Simplify(aE))
+		a, isInt := symbolic.AsInt(aE)
 		if !isInt || a < 1 {
 			return injectVerdict{}, false
 		}
@@ -95,30 +95,30 @@ func (ag *aggregator) isInjectiveArray(arr string, writes []phase1.ArrayWrite, m
 		}
 		seq := fillSeq{}
 		if len(writes) == 1 {
-			betaE = symbolic.Simplify(bE)
+			betaE = bE
 		} else {
 			// Multi-write coverage needs concrete consecutive offsets.
-			b, isInt := symbolic.AsInt(symbolic.Simplify(bE))
+			b, isInt := symbolic.AsInt(bE)
 			if !isInt {
 				return injectVerdict{}, false
 			}
 			seq.beta = b
 		}
 		// Value: γ·i + δ with a strictly-signed invariant slope.
-		gE, dE, ok := ag.linearIn(val, iv)
+		gE, dE, ok := symbolic.LinearIn(val, iv)
 		if !ok || !ag.isInvariant(gE) || !ag.isInvariant(dE) {
 			return injectVerdict{}, false
 		}
 		end := symbolic.Simplify(symbolic.AddExpr(dE, symbolic.MulExpr(gE, last)))
 		switch symbolic.SignOf(gE, ag.ctx) {
 		case symbolic.SignPositive:
-			seq.vlo, seq.vhi = symbolic.Simplify(dE), end
+			seq.vlo, seq.vhi = dE, end
 		case symbolic.SignNegative:
-			seq.vlo, seq.vhi = end, symbolic.Simplify(dE)
+			seq.vlo, seq.vhi = end, dE
 		default:
 			return injectVerdict{}, false
 		}
-		if g, isInt := symbolic.AsInt(symbolic.Simplify(gE)); isInt && (g == 1 || g == -1) {
+		if g, isInt := symbolic.AsInt(gE); isInt && (g == 1 || g == -1) {
 			seq.slopeOne = true
 		}
 		seqs = append(seqs, seq)

@@ -95,7 +95,7 @@ func (ag *aggregator) checkSRA(arr string, w phase1.ArrayWrite) (monoVerdict, bo
 // with PNN slope, or λ_sc + invariant for an SSR variable sc.
 func (ag *aggregator) classifyMonotoneValue(val symbolic.Expr) (monoVerdict, bool) {
 	// Closed form in the loop index.
-	if alpha, rest, ok := ag.linearIn(val, symbolic.NewSym(ag.ivar)); ok && ag.isInvariant(rest) && ag.isInvariant(alpha) {
+	if alpha, rest, ok := symbolic.LinearIn(val, symbolic.NewSym(ag.ivar)); ok && ag.isInvariant(rest) && ag.isInvariant(alpha) {
 		sign := symbolic.SignOf(alpha, ag.ctx)
 		switch sign {
 		case symbolic.SignPositive:
@@ -113,11 +113,11 @@ func (ag *aggregator) classifyMonotoneValue(val symbolic.Expr) (monoVerdict, boo
 		if name == ag.ivar {
 			continue
 		}
-		alpha, rest, ok := ag.linearIn(val, symbolic.NewLambda(name))
+		alpha, rest, ok := symbolic.LinearIn(val, symbolic.NewLambda(name))
 		if !ok || !ag.isInvariant(rest) {
 			continue
 		}
-		if c, isInt := symbolic.AsInt(symbolic.Simplify(alpha)); isInt && c == 1 {
+		if c, isInt := symbolic.AsInt(alpha); isInt && c == 1 {
 			return monoVerdict{Kind: property.KindSRA, Strict: info.Strict, Decreasing: info.Decreasing, ValueVar: name, ValueExpr: val}, true
 		}
 	}
@@ -257,8 +257,8 @@ func (ag *aggregator) checkMultiDim(arr string, w phase1.ArrayWrite) (monoVerdic
 	// itself a range).
 	lo, hi := symbolic.Bounds(symbolic.Simplify(val))
 	idx := symbolic.NewSym(ag.ivar)
-	alphaLo, rl, okLo := ag.linearIn(lo, idx)
-	alphaHi, ru, okHi := ag.linearIn(hi, idx)
+	alphaLo, rl, okLo := symbolic.LinearIn(lo, idx)
+	alphaHi, ru, okHi := symbolic.LinearIn(hi, idx)
 	if !okLo || !okHi || !symbolic.Equal(alphaLo, alphaHi) {
 		return monoVerdict{}, false
 	}
@@ -283,38 +283,12 @@ func (ag *aggregator) checkMultiDim(arr string, w phase1.ArrayWrite) (monoVerdic
 // isSimpleSubscript reports whether s has the form i + k with i the loop
 // index and k an invariant term (Algorithm 2 line 17).
 func (ag *aggregator) isSimpleSubscript(s symbolic.Expr) bool {
-	coef, rest, ok := symbolic.CoefficientOf(s, ag.ivar)
-	return ok && coef == 1 && ag.isInvariant(rest)
+	alpha, rest, ok := symbolic.LinearIn(s, symbolic.NewSym(ag.ivar))
+	c, isInt := symbolic.AsInt(alpha)
+	return ok && isInt && c == 1 && ag.isInvariant(rest)
 }
 
 // isInvariant reports loop invariance of an already-symbolic expression.
 func (ag *aggregator) isInvariant(e symbolic.Expr) bool {
 	return isInvariantValue(e, ag.ivar, ag.lvv)
-}
-
-// linearIn decomposes e = alpha*x + rest by probing x at 0, 1 and 2 and
-// checking that consecutive differences agree. Works for any linear
-// occurrence of the atom x (a Sym or Lambda).
-func (ag *aggregator) linearIn(e symbolic.Expr, x symbolic.Expr) (alpha, rest symbolic.Expr, ok bool) {
-	var key string
-	switch a := x.(type) {
-	case symbolic.Sym:
-		key = symbolic.SymKey(a.Name)
-	case symbolic.Lambda:
-		key = symbolic.LambdaKey(a.Name)
-	default:
-		return nil, nil, false
-	}
-	f0 := symbolic.Substitute(e, symbolic.Subst{key: symbolic.Zero})
-	f1 := symbolic.Substitute(e, symbolic.Subst{key: symbolic.One})
-	f2 := symbolic.Substitute(e, symbolic.Subst{key: symbolic.NewInt(2)})
-	if symbolic.IsBottom(f0) || symbolic.IsBottom(f1) || symbolic.IsBottom(f2) {
-		return nil, nil, false
-	}
-	d1 := symbolic.SubExpr(f1, f0)
-	d2 := symbolic.SubExpr(f2, f1)
-	if !symbolic.Equal(d1, d2) {
-		return nil, nil, false
-	}
-	return symbolic.Simplify(d1), symbolic.Simplify(f0), true
 }

@@ -106,6 +106,10 @@ var simplifySeeds = [][]byte{
 	{10, 2, 4, 4, 4, 4},                  // sets
 	{11, 1, 7, 3, 11, 0, 7, 3},           // mono annotations
 	{2, 3, 128, 2, 3, 128},               // div/mod by decoded bytes
+	// i*i and 2*i+n (min of one argument wraps a leaf): a square that
+	// LinearIn must refuse and a sum it must split exactly.
+	{1, 0, 4, 0, 4, 0, 4, 0, 4, 0, 1, 2, 4, 0, 4, 0, 4, 0, 4, 0, 1, 2},
+	{0, 0, 1, 0, 4, 0, 4, 0, 4, 0, 0, 2, 4, 0, 4, 0, 4, 0, 1, 2, 4, 0, 4, 0, 4, 0, 4, 0, 1, 0},
 }
 
 // decodeFuzzExpr is the expression FuzzSimplify builds from data.
@@ -118,7 +122,7 @@ func decodeFuzzExpr(data []byte) Expr {
 // the memoized result must match the uncached one — so the fuzzer drives
 // both the canonicalization rules and the new cache paths (structural
 // keys, sharding, interning). The memo key must also match the reference
-// renderer's.
+// renderer's, and LinearIn's decomposition must be exact (checkLinearIn).
 func FuzzSimplify(f *testing.F) {
 	for _, s := range simplifySeeds {
 		f.Add(s)
@@ -146,5 +150,6 @@ func FuzzSimplify(f *testing.F) {
 		if want := string(refAppendKey(nil, e)); key != want {
 			t.Fatalf("memo key diverges from the reference:\n  expr: %s\n  key:  %q\n  ref:  %q", e, key, want)
 		}
+		checkLinearIn(t, e)
 	})
 }
