@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	svddump [-level classical|base|new] [-func name] file.c
+//	svddump [-level classical|base|new] [-assume sym1,sym2] [-func name] file.c
 package main
 
 import (
@@ -14,10 +14,13 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/cminus"
 	"repro/internal/core"
 	"repro/internal/phase2"
+	"repro/internal/ranges"
+	"repro/internal/symbolic"
 )
 
 func main() {
@@ -30,6 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("svddump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	level := fs.String("level", "new", "analysis level: classical, base or new")
+	assume := fs.String("assume", "", "comma-separated symbols assumed >= 1")
 	fnName := fs.String("func", "", "restrict to one function")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -53,11 +57,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
+	// Each assumed symbol is >= 1, as in subsubcc; each function is
+	// analyzed in a scope of its own over these bindings, as in
+	// parallelize.Run.
+	assumed := ranges.New()
+	if *assume != "" {
+		for _, sym := range strings.Split(*assume, ",") {
+			assumed.Set(sym, symbolic.One, nil)
+		}
+	}
 	for _, fn := range prog.Funcs {
 		if fn.Body == nil || (*fnName != "" && fn.Name != *fnName) {
 			continue
 		}
-		fa := phase2.AnalyzeFunc(fn, lvl, nil)
+		fa := phase2.AnalyzeFunc(fn, lvl, assumed.Push())
 		fmt.Fprintf(stdout, "== function %s ==\n", fn.Name)
 		for _, lbl := range sortedKeys(fa.Loops) {
 			agg := fa.Loops[lbl]
