@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/symbolic"
+	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -128,4 +129,35 @@ func TestGoldenMemoCounters(t *testing.T) {
 		sum.SimplifyHits, sum.SimplifyMisses, sum.CompareHits, sum.CompareMisses,
 		sum.Interned, sum.Evictions, sum.CapHits)
 	checkGolden(t, "memo_counters.txt", []byte(got))
+}
+
+// TestGoldenWorkCounts pins, for every level and corpus program, the
+// budget steps, sign proofs and dependence pairs that a cold
+// single-worker analysis under the program's own assumptions bills to
+// its trace counters. A change that keeps these counts did not change the
+// work the analysis does per program; a benchmark's per-operation
+// averages cannot show that, since they depend on which programs a run
+// happened to reach.
+func TestGoldenWorkCounts(t *testing.T) {
+	defer symbolic.ResetCache()
+	var got bytes.Buffer
+	for _, gl := range goldenLevels {
+		for _, src := range corpusBatch(gl.level) {
+			symbolic.ResetCache()
+			opt := *src.Opt
+			opt.Trace = trace.NewRecorder()
+			if _, err := Analyze(src.Src, opt); err != nil {
+				t.Fatalf("%s/%s: %v", gl.name, src.Name, err)
+			}
+			var sum [trace.NumCounters]int64
+			for _, s := range opt.Trace.Spans() {
+				for c, n := range s.Counters {
+					sum[c] += n
+				}
+			}
+			fmt.Fprintf(&got, "%s %s steps %d proofs %d pairs %d\n", gl.name, src.Name,
+				sum[trace.CounterSteps], sum[trace.CounterProofs], sum[trace.CounterPairs])
+		}
+	}
+	checkGolden(t, "work_counts.txt", got.Bytes())
 }
