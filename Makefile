@@ -34,9 +34,9 @@
 #   make property-soundness — the injectivity/permutation fact battery:
 #                  adversarial near-miss suite, scatter dependence tests,
 #                  the serial-vs-parallel scatter differential, the
-#                  guard scans that verify the facts at run time, and
-#                  the purity property over the tier-1 sources, all
-#                  under the race detector
+#                  guard scans that verify the facts at run time, the
+#                  purity property over the tier-1 sources and the sign
+#                  prover pins, all under the race detector
 #   make fault-e2e — fault-injection daemon tests (stall/panic/budget
 #                  failpoints) under the race detector
 #   make chaos-e2e — the fleet chaos gate: consistent-hash ring, circuit
@@ -141,12 +141,14 @@ fuzz-smoke:
 # serial-vs-8-worker bit-identity differential, the guard scans that
 # check the facts at region entry (internal/guard, at their edges),
 # the purity property over the tier-1 sources (a loop tested parallel
-# calls builtins only) and the nonlinear pins (a subscript or fill value
-# that is not linear in the loop index proves nothing) — all with -race
+# calls builtins only), the nonlinear pins (a subscript or fill value
+# that is not linear in the loop index proves nothing) and the sign
+# prover pins (a bound substituted to 0 proves an inequality, not an
+# equality, so no fact covers an unrelated head element) — all with -race
 # so the parallelized a[p[i]] writes are also checked for data races.
 property-soundness:
-	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned|TestGuardScan|TestPureCalls|TestNonlinear' \
-		./internal/phase2/ ./internal/property/ ./internal/depend/ ./internal/corpus/ ./internal/guard/ ./internal/core/
+	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned|TestGuardScan|TestPureCalls|TestNonlinear|TestProve|TestSeamFact' \
+		./internal/phase2/ ./internal/property/ ./internal/depend/ ./internal/corpus/ ./internal/guard/ ./internal/core/ ./internal/symbolic/
 
 # Fault-injection end-to-end: deterministic failpoints (stall, panic,
 # budget exhaustion) driven through the daemon's real HTTP stack, under

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/symbolic"
 )
 
 const cholSrc = `
@@ -158,6 +159,57 @@ func TestNonlinearFillNoFact(t *testing.T) {
 		}
 		if use.Decision.Parallel {
 			t.Errorf("%s: the scatter y[idx[j]] is parallel, want serial", level)
+		}
+	}
+}
+
+// seamSrc is SDDMM with a fill whose head col_ptr[0] = m is unrelated to
+// the entries the loop writes: for m > 1, col_ptr[0] exceeds col_ptr[1].
+const seamSrc = `
+void fill(int nonzeros, int m, int *col_val, int *col_ptr, int *out_holder) {
+    int holder = 1; int i, r;
+    col_ptr[0] = m; r = col_val[0];
+    for (i = 0; i < nonzeros; i++)
+        if (col_val[i] != r) { col_ptr[holder++] = i + 1; r = col_val[i]; }
+    out_holder[0] = holder;
+}
+void sddmm(int n_cols, int k, int holder_max, int *col_ptr, int *row_ind,
+           double *W, double *H, double *nnz_val, double *p) {
+    int r, ind, t;
+    double sm;
+    for (r = 0; r < n_cols; r++) {
+        for (ind = col_ptr[r]; ind < col_ptr[r+1]; ind++) {
+            sm = 0.0;
+            for (t = 0; t < k; t++)
+                sm += W[r*k + t] * H[row_ind[ind]*k + t];
+            p[ind] = sm * nnz_val[ind];
+        }
+    }
+}
+`
+
+// TestSeamFactUnprovenHead: the fill's loop makes col_ptr[1:holder_max]
+// monotone, and nothing relates the head col_ptr[0] = m to it (m ≥ 1 is
+// all -assume m gives), so no fact may cover col_ptr[0]. Extending the
+// fact over the head takes a proof of m ≤ 1, which is false for m = 2.
+func TestSeamFactUnprovenHead(t *testing.T) {
+	for _, gl := range goldenLevels {
+		res, err := Analyze(seamSrc, Options{Level: gl.level, AssumePositive: []string{"m"}})
+		if err != nil {
+			t.Fatalf("%s: %v", gl.name, err)
+		}
+		facts := 0
+		for _, p := range res.Properties() {
+			if p.Array != "col_ptr" {
+				continue
+			}
+			facts++
+			if lo, ok := symbolic.AsInt(p.IndexLo); !ok || lo < 1 {
+				t.Errorf("%s: %s covers col_ptr[0]", gl.name, p)
+			}
+		}
+		if gl.level == New && facts == 0 {
+			t.Errorf("new: no col_ptr fact: %s", res.Summary())
 		}
 	}
 }
