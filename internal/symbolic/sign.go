@@ -102,16 +102,22 @@ func signOf(e Expr, ctx Context, depth int) Sign {
 		}
 		// Termwise analysis failed; substitute each symbol's lower (or
 		// upper, for negative coefficients) bound and classify the bound.
+		// A lower bound of 0 shows x >= 0 and an upper bound of 0 shows
+		// x <= 0, not x = 0.
 		if lb, ok := boundSubst(x, ctx, true); ok {
 			switch s := signOf(lb, ctx, depth-1); s {
-			case SignPositive, SignNonNegative, SignZero:
+			case SignPositive, SignNonNegative:
 				return s
+			case SignZero:
+				return SignNonNegative
 			}
 		}
 		if ub, ok := boundSubst(x, ctx, false); ok {
 			switch s := signOf(ub, ctx, depth-1); s {
-			case SignNegative, SignNonPositive, SignZero:
+			case SignNegative, SignNonPositive:
 				return s
+			case SignZero:
+				return SignNonPositive
 			}
 		}
 		return SignUnknown
