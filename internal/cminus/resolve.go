@@ -331,15 +331,19 @@ func (b *Binds) expr(e Expr) {
 
 // arrayBase is ArrayBase returning the base identifier itself.
 func arrayBase(e *IndexExpr) (*Ident, []Expr) {
-	var idx []Expr
-	var x Expr = e
-	for {
-		ix, ok := x.(*IndexExpr)
-		if !ok {
-			break
-		}
-		idx = append([]Expr{ix.Index}, idx...)
+	// The chain holds the last subscript outermost: count the
+	// subscripts, then fill one slice from the back.
+	n := 1
+	x := e.Arr
+	for ix, ok := x.(*IndexExpr); ok; ix, ok = x.(*IndexExpr) {
+		n++
 		x = ix.Arr
+	}
+	idx := make([]Expr, n)
+	ix := e
+	for i := n - 1; i >= 0; i-- {
+		idx[i] = ix.Index
+		ix, _ = ix.Arr.(*IndexExpr)
 	}
 	id, _ := x.(*Ident)
 	return id, idx
