@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 const encodeSrc = `
@@ -127,5 +129,114 @@ func TestParseLevelRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseLevel("bogus"); err == nil {
 		t.Fatal("ParseLevel accepted a bogus level")
+	}
+}
+
+// encodeJSON encodes v as the wire format was first defined: by
+// encoding/json, indented by two spaces, without HTML escaping.
+func encodeJSON(tb testing.TB, v any) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkWireRoundTrip encodes results with MarshalBatch, decodes the bytes
+// into BatchJSON and encodes that with encodeJSON: the two encodings must
+// be equal. Decoding turns invalid UTF-8 into U+FFFD, which encodes as
+// its own three bytes where the first encoding wrote \ufffd, so the
+// source names, the field that carries the caller's bytes, are restored
+// from results before the second encoding.
+func checkWireRoundTrip(tb testing.TB, results []*BatchResult, annotate bool) {
+	tb.Helper()
+	out, err := MarshalBatch(results, annotate)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var batch BatchJSON
+	if err := json.Unmarshal(out, &batch); err != nil {
+		tb.Fatalf("MarshalBatch output does not decode: %v\n%s", err, out)
+	}
+	if len(batch.Results) != len(results) {
+		tb.Fatalf("decoded %d results, want %d", len(batch.Results), len(results))
+	}
+	for i, br := range results {
+		batch.Results[i].Name = br.Name
+	}
+	want := encodeJSON(tb, batch)
+	if !bytes.Equal(out, want) {
+		i := 0
+		for i < len(out) && i < len(want) && out[i] == want[i] {
+			i++
+		}
+		lo := max(i-80, 0)
+		tb.Fatalf("MarshalBatch differs from encoding/json at byte %d:\ngot  %q\nwant %q",
+			i, out[lo:min(i+80, len(out))], want[lo:min(i+80, len(want))])
+	}
+}
+
+// TestMarshalBatchRoundTrip holds MarshalBatch to encoding/json's bytes
+// over the 45 corpus analyses with and without the annotated source, a
+// source that fails to parse, contained crashes at function and loop
+// level, source names that need escaping, and an empty batch.
+func TestMarshalBatchRoundTrip(t *testing.T) {
+	for _, gl := range goldenLevels {
+		results := AnalyzeBatch(corpusBatch(gl.level), Options{})
+		for _, annotate := range []bool{true, false} {
+			checkWireRoundTrip(t, results, annotate)
+		}
+	}
+
+	defer faults.Reset()
+	faults.Set("phase2.AnalyzeFunc", faults.Panic("synthetic crash").For("bad"))
+	faults.Set("depend.Analyze", faults.Panic(`crash in "L1" \ <here>`).For("L1"))
+	crashed := AnalyzeBatch([]Source{{Name: "mix.c", Src: twoFuncSrc}}, Options{Level: New})
+	faults.Reset()
+	if res := crashed[0].Res; res == nil || len(res.Plan.Diagnostics) != 2 {
+		t.Fatalf("want two contained crashes, got %+v", crashed[0])
+	}
+
+	names := []string{
+		`quote".c`, `back\slash.c`,
+		"ctl\x00\x01\x08\x0c\n\r\t\x1b\x1f\x7f.c",
+		"bad\xff\xfe\xc3utf8.c", "sep\u2028\u2029.c", "<html>&amp;.c", "ok é€😀.c",
+	}
+	var sources []Source
+	for _, n := range names {
+		sources = append(sources, Source{Name: n, Src: encodeSrc})
+	}
+	sources = append(sources, Source{Name: "broken.c", Src: "void f( {"})
+	results := append(AnalyzeBatch(sources, Options{Level: New}), crashed...)
+	if results[len(names)].Err == nil {
+		t.Fatal("broken.c parsed")
+	}
+	for _, annotate := range []bool{true, false} {
+		checkWireRoundTrip(t, results, annotate)
+	}
+
+	out, err := MarshalBatch(nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\n  \"results\": []\n}\n"; string(out) != want {
+		t.Fatalf("empty batch encodes as %q, want %q", out, want)
+	}
+}
+
+// BenchmarkMarshalBatch encodes the 15 corpus results at New with their
+// annotated sources, as subsubcc -json -annotate does.
+func BenchmarkMarshalBatch(b *testing.B) {
+	results := AnalyzeBatch(corpusBatch(New), Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MarshalBatch(results, true); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

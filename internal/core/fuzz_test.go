@@ -31,17 +31,19 @@ func resourceAbort(err error) bool {
 // checkAnalyze is the shared fuzz body: the full pipeline (parse →
 // normalize → Phase 1 → Phase 2 → dependence test → plan) must never
 // panic or exceed its resource bounds by more than the checkpoint
-// granularity, the annotated output of an accepted program must
-// reparse and re-analyze cleanly, levels only add parallel verdicts,
-// and a parallel loop calls builtins only.
+// granularity, its wire JSON must be encoding/json's bytes, the
+// annotated output of an accepted program must reparse and re-analyze
+// cleanly, levels only add parallel verdicts, and a parallel loop calls
+// builtins only.
 func checkAnalyze(t *testing.T, src string) {
 	t.Helper()
 	res, err := Analyze(src, fuzzOptions())
+	var pe *budget.PanicError
+	if errors.As(err, &pe) {
+		t.Fatalf("analysis panicked: %v\ninput: %q", err, src)
+	}
+	checkWireRoundTrip(t, []*BatchResult{{Name: "fuzz.c", Res: res, Err: err}}, true)
 	if err != nil {
-		var pe *budget.PanicError
-		if errors.As(err, &pe) {
-			t.Fatalf("analysis panicked: %v\ninput: %q", err, src)
-		}
 		return
 	}
 	annotated := res.AnnotatedSource()
