@@ -19,6 +19,7 @@
 #                  to end; each exits nonzero when its parallel run
 #                  does not reach its serial run's end state
 #   make fuzz-smoke — 5s each of whole-pipeline fuzz (FuzzAnalyze),
+#                  the wire JSON's string escaping (FuzzWireString),
 #                  tree-vs-VM execution fuzz (FuzzVMDifferential), the
 #                  simplifier and its memo keys (FuzzSimplify) and the
 #                  parser (FuzzParse) as gate steps
@@ -48,7 +49,8 @@
 #                  daemon edit loop (resubmit an edited source to
 #                  /v1/analyze), all under the race detector
 #   make fuzz    — short fuzz session over the parser and simplifier
-#   make bench   — batch-driver, cache, and interpreter benchmarks
+#   make bench   — batch-driver, cache, interpreter and wire-encoder
+#                  benchmarks
 #   make perfbench — the repository benchmark (perfbench/, BENCHMARK.json):
 #                  one 10 s untraced run of each workload at seed 1,
 #                  printing each JSON result line; not part of check
@@ -123,14 +125,17 @@ examples-smoke:
 	done; \
 	echo "examples-smoke ok"
 
-# Fuzz smoke: the whole pipeline (parse → analyze → re-analyze
-# annotated output under a step budget and deadline), then execution,
-# tree vs VM, with every fuzzed function compared against the tree
-# oracle, then the simplifier (cached vs uncached, idempotence, memo
-# keys and cap verdicts against the reference renderer) and the parser
-# (print∘parse convergence). -fuzz accepts one package per run.
+# Fuzz smoke: the whole pipeline (parse → analyze → wire JSON against
+# encoding/json → re-analyze annotated output under a step budget and
+# deadline), the wire writer's string escaping against encoding/json's,
+# then execution, tree vs VM, with every fuzzed function compared
+# against the tree oracle, then the simplifier (cached vs uncached,
+# idempotence, memo keys and cap verdicts against the reference
+# renderer) and the parser (print∘parse convergence). -fuzz accepts one
+# package and one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzWireString -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzVMDifferential -fuzztime 5s ./internal/interp/
 	$(GO) test -run '^$$' -fuzz FuzzSimplify -fuzztime 5s ./internal/symbolic/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/cminus/
@@ -198,7 +203,7 @@ fuzz:
 	$(GO) test -run FuzzSimplify -fuzz FuzzSimplify -fuzztime 20s ./internal/symbolic/
 
 bench:
-	$(GO) test -run NONE -bench 'AnalyzeBatch|SimplifyCached|BenchmarkInterp' -benchmem ./...
+	$(GO) test -run NONE -bench 'AnalyzeBatch|SimplifyCached|BenchmarkInterp|MarshalBatch' -benchmem ./...
 
 # The repository benchmark, one run per workload; the last line of each
 # run's standard output is its JSON result.

@@ -6,16 +6,19 @@ package core
 // output, which is what lets the daemon's content-addressed cache replay a
 // stored response in place of a fresh CLI run.
 //
-// Every slice in the view is emitted in a deterministic order (properties
-// by array name, loops by function name then label, results in input
-// order), so the encoding is a pure function of the analysis result.
+// Every list is written in a deterministic order (properties by array
+// name, loops by function name then label, results in input order), so
+// the encoding is a pure function of the analysis result. The wire
+// structs below are the schema: MarshalBatch writes their encoding
+// directly, and readers (subsubd -selfcheck, the tests) decode into them.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
+	"unicode/utf8"
 
+	"repro/internal/parallelize"
 	"repro/internal/property"
 	"repro/internal/symbolic"
 )
@@ -126,115 +129,316 @@ type BatchJSON struct {
 	Results []ResultJSON `json:"results"`
 }
 
-func exprString(e symbolic.Expr) string {
-	if e == nil {
-		return ""
-	}
-	return e.String()
-}
-
-func propertyJSON(p *property.ArrayProperty) PropertyJSON {
-	return PropertyJSON{
-		Array:        p.Array,
-		Kind:         p.Kind.String(),
-		Strict:       p.Strict,
-		Injective:    p.Injective(),
-		Permutation:  p.Permutation(),
-		Decreasing:   p.Decreasing,
-		Dim:          p.Dim,
-		NumDims:      p.NumDims,
-		IndexLo:      exprString(p.IndexLo),
-		IndexHi:      exprString(p.IndexHi),
-		ValueRange:   exprString(p.ValueRange),
-		Counter:      p.Counter,
-		CounterFinal: exprString(p.CounterFinal),
-		DefFunc:      p.DefFunc,
-		DefLoop:      p.DefLoop,
-		Display:      p.String(),
-	}
-}
-
-// JSON builds the wire view of a result. name labels the source (a file
-// name or request-supplied name); annotate includes the OpenMP-annotated
-// program.
-func (r *Result) JSON(name string, annotate bool) ResultJSON {
-	out := ResultJSON{Name: name, Level: LevelName(r.Plan.Level)}
-	for _, p := range r.Properties() {
-		out.Properties = append(out.Properties, propertyJSON(p))
-	}
-	funcs := make([]string, 0, len(r.Plan.Funcs))
-	for n := range r.Plan.Funcs {
-		funcs = append(funcs, n)
-	}
-	sort.Strings(funcs)
-	for _, fn := range funcs {
-		fp := r.Plan.Funcs[fn]
-		labels := make([]string, 0, len(fp.Loops))
-		for lbl := range fp.Loops {
-			labels = append(labels, lbl)
-		}
-		sort.Strings(labels)
-		for _, lbl := range labels {
-			lp := fp.Loops[lbl]
-			lj := LoopJSON{
-				Func:           fn,
-				Label:          lbl,
-				Depth:          lp.Depth,
-				Parallel:       lp.Chosen,
-				Privates:       lp.Decision.Privates,
-				Reductions:     lp.Decision.Reductions,
-				UsedProperties: lp.Decision.UsedProperties,
-			}
-			if lp.Chosen {
-				lj.Pragma = fp.Pragmas[lbl]
-			} else {
-				lj.Reason = lp.Decision.Reason
-			}
-			for _, chk := range lp.Decision.RuntimeChecks {
-				lj.RuntimeChecks = append(lj.RuntimeChecks, chk.String())
-			}
-			out.Loops = append(out.Loops, lj)
-		}
-	}
-	for _, d := range r.Plan.Diagnostics {
-		out.Diagnostics = append(out.Diagnostics, DiagnosticJSON{
-			Func:    d.Func,
-			Stage:   d.Stage,
-			Loop:    d.Loop,
-			Message: d.Message(),
-		})
-	}
-	if annotate {
-		out.AnnotatedSource = r.AnnotatedSource()
-	}
-	return out
-}
-
-// BatchJSONOf builds the wire view of a batch, preserving input order. A
-// failed source carries its error string and nothing else.
-func BatchJSONOf(results []*BatchResult, annotate bool) BatchJSON {
-	batch := BatchJSON{Results: make([]ResultJSON, 0, len(results))}
-	for _, br := range results {
-		if br.Err != nil {
-			batch.Results = append(batch.Results, ResultJSON{Name: br.Name, Error: br.Err.Error()})
-			continue
-		}
-		batch.Results = append(batch.Results, br.Res.JSON(br.Name, annotate))
-	}
-	return batch
-}
-
 // MarshalBatch renders a batch as indented JSON with a trailing newline.
 // The bytes are a deterministic function of the results: encoding twice
 // yields identical output, and the CLI and the daemon both emit exactly
-// these bytes.
+// these bytes. A failed source carries its name and error and nothing
+// else.
+//
+// The writer appends the bytes encoding/json would write for a BatchJSON
+// view of the results (two-space indent, no HTML escaping) in one pass
+// over each result's plan, without building the view: fields in the
+// wire structs' order, each omitempty field left out when empty, map
+// keys sorted, strings escaped as appendString does.
 func MarshalBatch(results []*BatchResult, annotate bool) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(BatchJSONOf(results, annotate)); err != nil {
-		return nil, err
+	w := &wire{buf: make([]byte, 0, 4096)}
+	w.open('{')
+	w.key("results")
+	w.open('[')
+	for _, br := range results {
+		w.next()
+		w.result(br, annotate)
 	}
-	return buf.Bytes(), nil
+	w.close(']')
+	w.close('}')
+	return append(w.buf, '\n'), nil
+}
+
+// wire is an indenting JSON writer over one buffer.
+type wire struct {
+	buf   []byte
+	depth int
+	// empty marks an open object or array with no member yet.
+	empty bool
+	// funcs and labels are the sort buffers result reuses.
+	funcs, labels []string
+}
+
+// open starts an object ('{') or an array ('[').
+func (w *wire) open(c byte) {
+	w.buf = append(w.buf, c)
+	w.depth++
+	w.empty = true
+}
+
+// close ends the innermost object ('}') or array (']'); an empty one
+// stays on its line.
+func (w *wire) close(c byte) {
+	w.depth--
+	if !w.empty {
+		w.newline()
+	}
+	w.buf = append(w.buf, c)
+	w.empty = false
+}
+
+// next starts a member of the innermost object or array on its own line.
+func (w *wire) next() {
+	if !w.empty {
+		w.buf = append(w.buf, ',')
+	}
+	w.empty = false
+	w.newline()
+}
+
+func (w *wire) newline() {
+	w.buf = append(w.buf, '\n')
+	for i := 0; i < w.depth; i++ {
+		w.buf = append(w.buf, ' ', ' ')
+	}
+}
+
+// key starts the object member name.
+func (w *wire) key(name string) {
+	w.next()
+	w.buf = appendString(w.buf, name)
+	w.buf = append(w.buf, ':', ' ')
+}
+
+func (w *wire) str(name, v string) {
+	w.key(name)
+	w.buf = appendString(w.buf, v)
+}
+
+// The opt* writers leave out an empty value, as omitempty does.
+func (w *wire) optStr(name, v string) {
+	if v != "" {
+		w.str(name, v)
+	}
+}
+
+func (w *wire) optExpr(name string, e symbolic.Expr) {
+	if e != nil {
+		w.optStr(name, e.String())
+	}
+}
+
+func (w *wire) boolean(name string, v bool) {
+	w.key(name)
+	w.buf = strconv.AppendBool(w.buf, v)
+}
+
+func (w *wire) optBool(name string, v bool) {
+	if v {
+		w.boolean(name, v)
+	}
+}
+
+func (w *wire) integer(name string, v int) {
+	w.key(name)
+	w.buf = strconv.AppendInt(w.buf, int64(v), 10)
+}
+
+func (w *wire) optInt(name string, v int) {
+	if v != 0 {
+		w.integer(name, v)
+	}
+}
+
+func (w *wire) optStrs(name string, vs []string) {
+	if len(vs) == 0 {
+		return
+	}
+	w.key(name)
+	w.open('[')
+	for _, v := range vs {
+		w.next()
+		w.buf = appendString(w.buf, v)
+	}
+	w.close(']')
+}
+
+// result writes one ResultJSON.
+func (w *wire) result(br *BatchResult, annotate bool) {
+	w.open('{')
+	w.str("name", br.Name)
+	if br.Err != nil {
+		w.optStr("error", br.Err.Error())
+		w.close('}')
+		return
+	}
+	plan := br.Res.Plan
+	w.str("level", LevelName(plan.Level))
+	if props := br.Res.Properties(); len(props) > 0 {
+		w.key("properties")
+		w.open('[')
+		for _, p := range props {
+			w.next()
+			w.property(p)
+		}
+		w.close(']')
+	}
+	w.loops(plan)
+	if len(plan.Diagnostics) > 0 {
+		w.key("diagnostics")
+		w.open('[')
+		for _, d := range plan.Diagnostics {
+			w.next()
+			w.open('{')
+			w.str("func", d.Func)
+			w.str("stage", d.Stage)
+			w.optStr("loop", d.Loop)
+			w.str("message", d.Message())
+			w.close('}')
+		}
+		w.close(']')
+	}
+	if annotate {
+		w.optStr("annotated_source", br.Res.AnnotatedSource())
+	}
+	w.close('}')
+}
+
+// property writes one PropertyJSON.
+func (w *wire) property(p *property.ArrayProperty) {
+	w.open('{')
+	w.str("array", p.Array)
+	w.str("kind", p.Kind.String())
+	w.boolean("strict", p.Strict)
+	w.optBool("injective", p.Injective())
+	w.optBool("permutation", p.Permutation())
+	w.optBool("decreasing", p.Decreasing)
+	w.optInt("dim", p.Dim)
+	w.optInt("num_dims", p.NumDims)
+	w.optExpr("index_lo", p.IndexLo)
+	w.optExpr("index_hi", p.IndexHi)
+	w.optExpr("value_range", p.ValueRange)
+	w.optStr("counter", p.Counter)
+	w.optExpr("counter_final", p.CounterFinal)
+	w.optStr("def_func", p.DefFunc)
+	w.optStr("def_loop", p.DefLoop)
+	w.str("display", p.String())
+	w.close('}')
+}
+
+// loops writes the LoopJSON list of a plan, ordered by function name
+// then loop label, and nothing when the plan tested no loop.
+func (w *wire) loops(plan *parallelize.Plan) {
+	w.funcs = w.funcs[:0]
+	for fn := range plan.Funcs {
+		w.funcs = append(w.funcs, fn)
+	}
+	sort.Strings(w.funcs)
+	listed := false
+	for _, fn := range w.funcs {
+		fp := plan.Funcs[fn]
+		w.labels = w.labels[:0]
+		for lbl := range fp.Loops {
+			w.labels = append(w.labels, lbl)
+		}
+		sort.Strings(w.labels)
+		for _, lbl := range w.labels {
+			if !listed {
+				w.key("loops")
+				w.open('[')
+				listed = true
+			}
+			lp := fp.Loops[lbl]
+			d := lp.Decision
+			w.next()
+			w.open('{')
+			w.str("func", fn)
+			w.str("label", lbl)
+			w.integer("depth", lp.Depth)
+			w.boolean("parallel", lp.Chosen)
+			if lp.Chosen {
+				w.optStr("pragma", fp.Pragmas[lbl])
+			} else {
+				w.optStr("reason", d.Reason)
+			}
+			w.optStrs("privates", d.Privates)
+			if len(d.Reductions) > 0 {
+				w.key("reductions")
+				w.open('{')
+				vars := make([]string, 0, len(d.Reductions))
+				for v := range d.Reductions {
+					vars = append(vars, v)
+				}
+				sort.Strings(vars)
+				for _, v := range vars {
+					w.str(v, d.Reductions[v])
+				}
+				w.close('}')
+			}
+			if len(d.RuntimeChecks) > 0 {
+				w.key("runtime_checks")
+				w.open('[')
+				for _, chk := range d.RuntimeChecks {
+					w.next()
+					w.buf = appendString(w.buf, chk.String())
+				}
+				w.close(']')
+			}
+			w.optStrs("used_properties", d.UsedProperties)
+			w.close('}')
+		}
+	}
+	if listed {
+		w.close(']')
+	}
+}
+
+// appendString appends s as a JSON string, escaped exactly as
+// encoding/json escapes it with HTML escaping off: \" and \\; \b \f \n
+// \r \t; other control bytes as \u00XX; invalid UTF-8 as \ufffd; U+2028
+// and U+2029 as \u2028 and \u2029.
+func appendString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }

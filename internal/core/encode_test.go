@@ -240,3 +240,23 @@ func BenchmarkMarshalBatch(b *testing.B) {
 		}
 	}
 }
+
+// FuzzWireString holds the writer's string escaping to encoding/json's
+// with HTML escaping off, on arbitrary bytes.
+func FuzzWireString(f *testing.F) {
+	for b := 0; b < 0x20; b++ {
+		f.Add(string([]byte{'a', byte(b), 'z'}))
+	}
+	for _, s := range []string{
+		"", "\x7f", `"`, `\`, `a"b\c`, "<>&", "\u2028", "\u2029", "x\u2028y\u2029z",
+		"\xff", "\xc3", "\xc3(", "\xed\xa0\x80", "\xf4\x90\x80\x80", "é€😀\ufffd",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := encodeJSON(t, s)
+		if got := append(appendString(nil, s), '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("appendString(%q) = %q, encoding/json writes %q", s, got, want)
+		}
+	})
+}

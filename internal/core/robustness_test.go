@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -70,9 +71,16 @@ func TestPanicContainment(t *testing.T) {
 	if res.Plan.Funcs["good"] == nil || len(res.Plan.Funcs["good"].Loops) == 0 {
 		t.Fatal("healthy function lost its analysis")
 	}
-	// And the wire view carries the diagnostic deterministically.
-	j := res.JSON("mix.c", false)
-	if len(j.Diagnostics) != 1 || j.Diagnostics[0].Func != "bad" {
+	// And the wire format carries the diagnostic.
+	out, err := MarshalBatch([]*BatchResult{{Name: "mix.c", Res: res}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch BatchJSON
+	if err := json.Unmarshal(out, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if j := batch.Results[0]; len(j.Diagnostics) != 1 || j.Diagnostics[0].Func != "bad" {
 		t.Fatalf("wire diagnostics = %+v", j.Diagnostics)
 	}
 	// The summary mentions the contained crash.
