@@ -133,7 +133,7 @@ type BatchJSON struct {
 // The bytes are a deterministic function of the results: encoding twice
 // yields identical output, and the CLI and the daemon both emit exactly
 // these bytes. A failed source carries its name and error and nothing
-// else.
+// else. The error result is always nil.
 //
 // The writer appends the bytes encoding/json would write for a BatchJSON
 // view of the results (two-space indent, no HTML escaping) in one pass
@@ -160,7 +160,7 @@ type wire struct {
 	depth int
 	// empty marks an open object or array with no member yet.
 	empty bool
-	// funcs and labels are the sort buffers result reuses.
+	// funcs and labels are sort buffers loops reuses across results.
 	funcs, labels []string
 }
 

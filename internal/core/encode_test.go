@@ -132,6 +132,20 @@ func TestParseLevelRoundTrip(t *testing.T) {
 	}
 }
 
+// reductionSrc has a loop with five sum reductions, whose map the wire
+// format lists in key order.
+const reductionSrc = `
+void sums(int n, double *x, double *out) {
+    int i;
+    double a, b, c, d, e;
+    a = 0.0; b = 0.0; c = 0.0; d = 0.0; e = 0.0;
+    for (i = 0; i < n; i++) {
+        e += x[i]; d += 2.0 * x[i]; c += x[i] * x[i]; b = b + 1.0; a += 3.0;
+    }
+    out[0] = a; out[1] = b; out[2] = c; out[3] = d; out[4] = e;
+}
+`
+
 // encodeJSON encodes v as the wire format was first defined: by
 // encoding/json, indented by two spaces, without HTML escaping.
 func encodeJSON(tb testing.TB, v any) []byte {
@@ -182,8 +196,9 @@ func checkWireRoundTrip(tb testing.TB, results []*BatchResult, annotate bool) {
 
 // TestMarshalBatchRoundTrip holds MarshalBatch to encoding/json's bytes
 // over the 45 corpus analyses with and without the annotated source, a
-// source that fails to parse, contained crashes at function and loop
-// level, source names that need escaping, and an empty batch.
+// source that fails to parse, a loop with several reductions, contained
+// crashes at function and loop level, source names that need escaping,
+// and an empty batch.
 func TestMarshalBatchRoundTrip(t *testing.T) {
 	for _, gl := range goldenLevels {
 		results := AnalyzeBatch(corpusBatch(gl.level), Options{})
@@ -210,10 +225,15 @@ func TestMarshalBatchRoundTrip(t *testing.T) {
 	for _, n := range names {
 		sources = append(sources, Source{Name: n, Src: encodeSrc})
 	}
-	sources = append(sources, Source{Name: "broken.c", Src: "void f( {"})
+	sources = append(sources,
+		Source{Name: "broken.c", Src: "void f( {"},
+		Source{Name: "sums.c", Src: reductionSrc})
 	results := append(AnalyzeBatch(sources, Options{Level: New}), crashed...)
 	if results[len(names)].Err == nil {
 		t.Fatal("broken.c parsed")
+	}
+	if lp := results[len(names)+1].Res.Plan.Funcs["sums"].Loops["L1"]; len(lp.Decision.Reductions) != 5 {
+		t.Fatalf("sums.c L1 reductions = %v, want five", lp.Decision.Reductions)
 	}
 	for _, annotate := range []bool{true, false} {
 		checkWireRoundTrip(t, results, annotate)
