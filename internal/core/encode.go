@@ -343,49 +343,53 @@ func (w *wire) loops(plan *parallelize.Plan) {
 				w.open('[')
 				listed = true
 			}
-			lp := fp.Loops[lbl]
-			d := lp.Decision
 			w.next()
-			w.open('{')
-			w.str("func", fn)
-			w.str("label", lbl)
-			w.integer("depth", lp.Depth)
-			w.boolean("parallel", lp.Chosen)
-			if lp.Chosen {
-				w.optStr("pragma", fp.Pragmas[lbl])
-			} else {
-				w.optStr("reason", d.Reason)
-			}
-			w.optStrs("privates", d.Privates)
-			if len(d.Reductions) > 0 {
-				w.key("reductions")
-				w.open('{')
-				vars := make([]string, 0, len(d.Reductions))
-				for v := range d.Reductions {
-					vars = append(vars, v)
-				}
-				sort.Strings(vars)
-				for _, v := range vars {
-					w.str(v, d.Reductions[v])
-				}
-				w.close('}')
-			}
-			if len(d.RuntimeChecks) > 0 {
-				w.key("runtime_checks")
-				w.open('[')
-				for _, chk := range d.RuntimeChecks {
-					w.next()
-					w.buf = appendString(w.buf, chk.String())
-				}
-				w.close(']')
-			}
-			w.optStrs("used_properties", d.UsedProperties)
-			w.close('}')
+			w.loop(fn, lbl, fp, fp.Loops[lbl])
 		}
 	}
 	if listed {
 		w.close(']')
 	}
+}
+
+// loop writes one LoopJSON.
+func (w *wire) loop(fn, lbl string, fp *parallelize.FuncPlan, lp *parallelize.LoopPlan) {
+	d := lp.Decision
+	w.open('{')
+	w.str("func", fn)
+	w.str("label", lbl)
+	w.integer("depth", lp.Depth)
+	w.boolean("parallel", lp.Chosen)
+	if lp.Chosen {
+		w.optStr("pragma", fp.Pragmas[lbl])
+	} else {
+		w.optStr("reason", d.Reason)
+	}
+	w.optStrs("privates", d.Privates)
+	if len(d.Reductions) > 0 {
+		w.key("reductions")
+		w.open('{')
+		vars := make([]string, 0, len(d.Reductions))
+		for v := range d.Reductions {
+			vars = append(vars, v)
+		}
+		sort.Strings(vars)
+		for _, v := range vars {
+			w.str(v, d.Reductions[v])
+		}
+		w.close('}')
+	}
+	if len(d.RuntimeChecks) > 0 {
+		w.key("runtime_checks")
+		w.open('[')
+		for _, chk := range d.RuntimeChecks {
+			w.next()
+			w.buf = appendString(w.buf, chk.String())
+		}
+		w.close(']')
+	}
+	w.optStrs("used_properties", d.UsedProperties)
+	w.close('}')
 }
 
 // appendString appends s as a JSON string, escaped exactly as
