@@ -906,11 +906,10 @@ func (m *Machine) execParallelFor(loop *cminus.ForStmt, e *env, fp *parallelize.
 
 	errs := make([]error, workers)
 	workerRed := make([]map[string]*Value, workers)
-	sched.ParallelLoop(n, workers, 0,
+	sched.ParallelLoop(n, workers,
 		func(w int) { workerRed[w] = makeRedCells() },
-		func(w int, start, end int64) bool {
+		func(w int, start, end int64) {
 			errs[w] = runChunk(start, end, workerRed[w])
-			return errs[w] == nil
 		})
 	for _, err := range errs {
 		if err != nil {

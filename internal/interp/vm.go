@@ -846,9 +846,9 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		return ctlNext
 	}
 
-	sched.ParallelLoop(n, workers, 0,
+	sched.ParallelLoop(n, workers,
 		func(w int) { frames[w] = vmWorkerFrame(bf, parent, pl) },
-		func(w int, start, end int64) (cont bool) {
+		func(w int, start, end int64) {
 			defer func() {
 				if r := recover(); r != nil {
 					switch e := r.(type) {
@@ -859,14 +859,9 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 					default:
 						panic(r)
 					}
-					cont = false
 				}
 			}()
-			if ctl := runChunk(frames[w], start, end); ctl != ctlNext {
-				ctls[w] = ctl
-				return false
-			}
-			return true
+			ctls[w] = runChunk(frames[w], start, end)
 		})
 
 	release := func() {
