@@ -1,6 +1,11 @@
 package corpus
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/interp"
+)
 
 // Engine benchmarks: the same workload on the tree-walking oracle and
 // the bytecode VM, serial (Workers=1), so the ratio isolates pure
@@ -40,5 +45,48 @@ func BenchmarkInterpTree(b *testing.B) {
 func BenchmarkInterpVM(b *testing.B) {
 	for _, name := range interpBenchKernels {
 		b.Run(name, func(b *testing.B) { benchEngine(b, name, "vm") })
+	}
+}
+
+// interpRegionKernels are the kernels whose quick-scale runs are short
+// next to a region's fork-join: gramschmidt opens 48 regions per run,
+// the Scatter and CHOLMOD regions each last a few microseconds, and
+// heat-3d's long regions gain from a second worker.
+var interpRegionKernels = []string{"gramschmidt", "Scatter-Interleave", "CHOLMOD-Supernodal", "heat-3d"}
+
+// BenchmarkInterpRegions times parallel-region dispatch: each kernel at
+// quick scale on the VM, with 1 and 2 workers. Like an operation of
+// perfbench's exec-kernels workload, an iteration restores the seeded
+// inputs, then runs the calls.
+func BenchmarkInterpRegions(b *testing.B) {
+	for _, name := range interpRegionKernels {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", name, workers), func(b *testing.B) {
+				w := NewWork(ByName(name), ScaleQuick)
+				pristine := map[string]*interp.Array{}
+				for n, a := range w.Arrays {
+					pristine[n] = a.Clone()
+				}
+				m, err := w.NewMachine(workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Interp = "vm"
+				run := func() {
+					for n, a := range w.Arrays {
+						copy(a.Ints, pristine[n].Ints)
+						copy(a.Flts, pristine[n].Flts)
+					}
+					if err := w.Run(m); err != nil {
+						b.Fatal(err)
+					}
+				}
+				run() // warm-up: compile + touch memory
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			})
+		}
 	}
 }
