@@ -8,8 +8,8 @@ import (
 )
 
 // TestForTracedParallelLinkage checks that the parallel path opens one
-// "worker" span per goroutine, parented to the caller's span, and hands
-// each body that worker's span id so pipeline spans recorded inside the
+// "worker" span per block, parented to the caller's span, and hands
+// each body that block's span id so pipeline spans recorded inside the
 // body nest under the correct lane.
 func TestForTracedParallelLinkage(t *testing.T) {
 	r := trace.NewRecorder()

@@ -12,8 +12,10 @@
 // constants.
 //
 // Costs are in abstract work units; the calibration maps units to seconds
-// via a measured serial rate, and fork-join/dispatch overheads via
-// sched.MeasureForkJoin and a timed sched.ParallelLoop.
+// via a measured serial rate, the fork-join overhead via
+// sched.MeasureForkJoin, and the dynamic-dispatch overhead via a timed
+// loop of two goroutines pulling one-iteration chunks off a
+// mutex-guarded counter (internal/bench).
 package simcore
 
 // Policy selects the simulated loop schedule.
