@@ -48,21 +48,18 @@ func BenchmarkInterpVM(b *testing.B) {
 	}
 }
 
-// interpRegionKernels are the kernels whose quick-scale runs are short
-// next to a region's fork-join: gramschmidt opens 48 regions per run,
-// the Scatter and CHOLMOD regions each last a few microseconds, and
-// heat-3d's long regions gain from a second worker.
-var interpRegionKernels = []string{"gramschmidt", "Scatter-Interleave", "CHOLMOD-Supernodal", "heat-3d"}
-
-// BenchmarkInterpRegions times parallel-region dispatch: each kernel at
-// quick scale on the VM, with 1 and 2 workers. Like an operation of
-// perfbench's exec-kernels workload, an iteration restores the seeded
-// inputs, then runs the calls.
+// BenchmarkInterpRegions times parallel-region dispatch: every corpus
+// kernel at quick scale on the VM, with 1 and 2 workers. Like an
+// operation of perfbench's exec-kernels workload, an iteration restores
+// the seeded inputs, then runs the calls. The quick-scale regions are
+// short next to a region's fork-join: gramschmidt opens 48 regions per
+// run and the Scatter and CHOLMOD regions each last a few microseconds,
+// while heat-3d's, MG's and syrk's gain from a second worker.
 func BenchmarkInterpRegions(b *testing.B) {
-	for _, name := range interpRegionKernels {
+	for _, bench := range Extended() {
 		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/w%d", name, workers), func(b *testing.B) {
-				w := NewWork(ByName(name), ScaleQuick)
+			b.Run(fmt.Sprintf("%s/w%d", bench.Name, workers), func(b *testing.B) {
+				w := NewWork(bench, ScaleQuick)
 				pristine := map[string]*interp.Array{}
 				for n, a := range w.Arrays {
 					pristine[n] = a.Clone()
