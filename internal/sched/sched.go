@@ -3,8 +3,11 @@
 // the tree walker run their plan-chosen parallel regions on it, the Go
 // that internal/codegen emits carries a copy of loop.go (LoopSource) and
 // runs its regions on that copy, and ForTraced, the analysis job pool,
-// is built on it. MeasureForkJoin times a fork-join to calibrate the
-// multicore simulator.
+// is built on it. Its helper goroutines outlive a region: each spins for
+// a millisecond on the next region offered before it exits, so regions
+// that follow one another closely reuse them. MeasureForkJoin times a
+// fork-join of freshly spawned goroutines to calibrate the multicore
+// simulator.
 package sched
 
 import (
