@@ -99,6 +99,19 @@ func CollectAccesses(loop *cminus.ForStmt, meta *normalize.LoopMeta) *LoopAccess
 					seenScalar[t.Name] = true
 					info.ScalarFirstIsWrite[t.Name] = false
 				}
+			case *cminus.UnaryExpr:
+				// A ++ or -- the normalizer leaves in place (in a loop
+				// condition) reads its scalar, then writes it.
+				if id, ok := t.X.(*cminus.Ident); ok && (t.Op == "++" || t.Op == "--") {
+					if !seenScalar[id.Name] {
+						seenScalar[id.Name] = true
+						info.ScalarFirstIsWrite[id.Name] = false
+					}
+					info.ScalarWrites[id.Name] = true
+					brokenRed[id.Name] = true
+					delete(info.Reductions, id.Name)
+					copyEnv[id.Name] = symbolic.Bottom{}
+				}
 			case *cminus.CallExpr:
 				if cminus.LookupBuiltin(t.Fun) == nil {
 					info.HasUnknownCall = true

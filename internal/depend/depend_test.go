@@ -325,6 +325,33 @@ void f(int n, double *a) {
 	}
 }
 
+// TestScalarWriteInConditionBlocks: a ++ or -- left in an inner loop's
+// condition writes its scalar on every test, so the outer loop carries
+// a dependence on it, at every level. m also sizes the outer loop: run
+// in parallel, it made 8 trips where C makes 4.
+func TestScalarWriteInConditionBlocks(t *testing.T) {
+	for _, inner := range []string{
+		"for (j = 0; m++ < 0; j++) { }",
+		"j = 0; while (m-- > 0) { j = j + 1; }",
+	} {
+		src := `
+void f(int n, double *out) {
+    int i, j, m, c;
+    m = 0;
+    c = 0;
+    for (i = 0; i < 8 - m; i++) { ` + inner + ` c = c + 1; }
+    out[0] = c;
+}
+`
+		for _, level := range []phase2.Level{phase2.LevelClassical, phase2.LevelBase, phase2.LevelNew} {
+			d := analyzeLoop(t, src, "", "f", 1, level)
+			if d.Parallel || !strings.Contains(d.Reason, `"m"`) {
+				t.Errorf("%s, %s: parallel %v, reason %q; want serial on m", inner, level, d.Parallel, d.Reason)
+			}
+		}
+	}
+}
+
 // TestStencilShiftBlocks: a[i] = a[i+1] has a cross-iteration dependence.
 func TestStencilShiftBlocks(t *testing.T) {
 	src := `
