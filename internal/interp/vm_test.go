@@ -3,6 +3,7 @@ package interp
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -15,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/budget"
 	"repro/internal/cminus"
@@ -23,6 +25,8 @@ import (
 	"repro/internal/ranges"
 	"repro/internal/symbolic"
 )
+
+var updateShape = flag.Bool("update", false, "rewrite testdata/shape.golden")
 
 // TestUnknownEngineError: satellite regression test for engine-selection
 // hardening — an unknown Machine.Interp is rejected with the available
@@ -191,11 +195,57 @@ func TestVMCompileOncePerPlan(t *testing.T) {
 	}
 }
 
+// corpusMachine is a machine over one corpus program's plan at one
+// level, named "file level".
+type corpusMachine struct {
+	name string
+	m    *Machine
+}
+
+// corpusMachines plans every corpus source in testdata/ at Classical,
+// Base and New, each under its "Requires: -assume" list. Compiled code
+// does not depend on Workers.
+func corpusMachines(t *testing.T) []corpusMachine {
+	t.Helper()
+	files, err := filepath.Glob("../../testdata/*.c")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus sources: %v (%d files)", err, len(files))
+	}
+	var out []corpusMachine
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var assume []string
+		for _, line := range strings.Split(string(src), "\n") {
+			if rest, ok := strings.CutPrefix(line, "// Requires: -assume "); ok {
+				assume = strings.Split(strings.TrimSpace(rest), ",")
+			}
+		}
+		for _, level := range []struct {
+			name string
+			l    phase2.Level
+		}{{"classical", phase2.LevelClassical}, {"base", phase2.LevelBase}, {"new", phase2.LevelNew}} {
+			dict := ranges.New()
+			for _, sym := range assume {
+				dict.Set(sym, symbolic.One, nil)
+			}
+			plan := parallelize.Run(cminus.MustParse(string(src)), level.l, &parallelize.Options{Assume: dict})
+			m, err := New(plan.Program())
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			m.Plan = plan
+			out = append(out, corpusMachine{name: filepath.Base(file) + " " + level.name, m: m})
+		}
+	}
+	return out
+}
+
 // TestVMSuperinstructionsEmitted keeps the peephole tied to the
 // programs the VM runs: every opcode fuse can write must appear in the
-// compiled code of some corpus plan. The plans are those of the corpus
-// sources in testdata/ at Classical, Base and New, each under its
-// "Requires: -assume" list; compiled code does not depend on Workers.
+// compiled code of some corpus plan (corpusMachines).
 // The opcodes fuse can write are read from its source: an opcode named
 // as the Op of an Instr literal, assigned to a variable used as one, or
 // reached by the offset idiom in.Op + (opX - opY) from a case of the
@@ -306,36 +356,10 @@ func TestVMSuperinstructionsEmitted(t *testing.T) {
 	}
 
 	emitted := map[Opcode]bool{}
-	files, err := filepath.Glob("../../testdata/*.c")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("corpus sources: %v (%d files)", err, len(files))
-	}
-	for _, file := range files {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var assume []string
-		for _, line := range strings.Split(string(src), "\n") {
-			if rest, ok := strings.CutPrefix(line, "// Requires: -assume "); ok {
-				assume = strings.Split(strings.TrimSpace(rest), ",")
-			}
-		}
-		for _, level := range []phase2.Level{phase2.LevelClassical, phase2.LevelBase, phase2.LevelNew} {
-			dict := ranges.New()
-			for _, sym := range assume {
-				dict.Set(sym, symbolic.One, nil)
-			}
-			plan := parallelize.Run(cminus.MustParse(string(src)), level, &parallelize.Options{Assume: dict})
-			m, err := New(plan.Program())
-			if err != nil {
-				t.Fatalf("%s: %v", file, err)
-			}
-			m.Plan = plan
-			for _, bf := range m.ensureBytecode().funcs {
-				for _, in := range bf.code {
-					emitted[in.Op] = true
-				}
+	for _, cm := range corpusMachines(t) {
+		for _, bf := range cm.m.ensureBytecode().funcs {
+			for _, in := range bf.code {
+				emitted[in.Op] = true
 			}
 		}
 	}
@@ -352,6 +376,165 @@ func TestVMSuperinstructionsEmitted(t *testing.T) {
 		t.Errorf("fuse can produce %d superinstructions no corpus plan emits: %s", len(missing), strings.Join(missing, " "))
 	}
 	t.Logf("fuse can produce %d superinstructions: %s", len(all), strings.Join(all, " "))
+}
+
+// intDest returns the int register an instruction writes, or -1.
+func intDest(in Instr) int32 {
+	switch in.Op {
+	case opIConst, opIMove, opF2I, opIAdd, opIAddK, opIMulK, opIMulAdd, opIMulKAdd,
+		opISub, opIMul, opIDiv, opIMod, opIAnd, opIOr, opIXor, opIShl, opIShr, opINeg,
+		opIBNot, opILt, opILe, opIEq, opINe, opFLt, opFLe, opFEq, opFNe, opGetGI,
+		opGetCI, opALoad1I, opALoadI, opGathLoadI, opIMulAddL, opAIdx0, opAIdxN,
+		opAIdx01, opAIdxNN, opPar:
+		return in.A
+	case opJIncLt, opJIKIncLt:
+		return in.B
+	case opCallU:
+		if in.K == 0 {
+			return in.A
+		}
+	}
+	return -1
+}
+
+// indexRegs returns the int registers an instruction reads as array
+// subscripts.
+func indexRegs(in Instr) []int32 {
+	switch in.Op {
+	case opALoad1I, opALoad1F, opAStore1I, opAStore1F, opAUpd1I, opAUpd1F, opAIdxN,
+		opGathLoadI, opGathLoadF, opGathStoreI, opGathStoreF, opGathMulAccF,
+		opFMulAccL, opIMulAddL:
+		return []int32{in.C}
+	case opAIdx0:
+		if in.C >= 0 {
+			return []int32{in.C}
+		}
+	case opAIdx01:
+		return []int32{in.C, int32(uint32(in.K))}
+	case opAIdxNN:
+		return []int32{in.C, in.Aux}
+	}
+	return nil
+}
+
+// isJump reports whether in's A is a jump target.
+func isJump(op Opcode) bool {
+	return op >= opJump && op <= opJIKIncLt || op == opJNoPar || op == opParEnter
+}
+
+// shapeCounts summarizes one compiled function for the shape golden.
+func shapeCounts(bf *bfunc) string {
+	var addK, fconst, backEdges int
+	for _, in := range bf.code {
+		switch in.Op {
+		case opIAddK:
+			addK++
+		case opFConst:
+			fconst++
+		case opJIncLt, opJIKIncLt:
+			backEdges++
+		}
+	}
+	return fmt.Sprintf("%d instrs, %d opIAddK, %d opFConst, %d fused back edges", len(bf.code), addK, fconst, backEdges)
+}
+
+// TestVMCompiledShape pins what the compiler makes of the normalized
+// loops every engine runs, whose subscripts carry the loop's shift
+// (heat-3d reads A[i + 1 + 1][j + 1][k + 1]) and whose bounds are
+// expressions such as n - 1 - 1:
+//   - Instr stays 48 bytes;
+//   - no corpus function computes a subscript x ± c with an opIAddK
+//     into a temp that an index operand then reads: the indexing op adds
+//     the constant itself;
+//   - a normalized loop with a compound invariant bound ends in a fused
+//     back edge;
+//   - testdata/shape.golden holds each corpus function's instruction,
+//     opIAddK, opFConst and fused back-edge counts (-update rewrites
+//     it).
+func TestVMCompiledShape(t *testing.T) {
+	if size := unsafe.Sizeof(Instr{}); size != 48 {
+		t.Errorf("Instr is %d bytes, want 48", size)
+	}
+
+	var golden strings.Builder
+	for _, cm := range corpusMachines(t) {
+		bp := cm.m.ensureBytecode()
+		var names []string
+		for name := range bp.funcs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			bf := bp.funcs[name]
+			fmt.Fprintf(&golden, "%s %s: %s\n", cm.name, name, shapeCounts(bf))
+			// Registers at or above the named int slots are temps.
+			named := &bfunc{name: name}
+			newResolver(cm.m, cm.m.Prog.Func(name), named)
+			targets := map[int32]bool{}
+			for _, in := range bf.code {
+				if isJump(in.Op) {
+					targets[in.A] = true
+				}
+			}
+			for _, pl := range bf.pars {
+				targets[pl.bodyPC] = true
+			}
+			for q, in := range bf.code {
+				for _, r := range indexRegs(in) {
+					if r < int32(named.nInts) {
+						continue
+					}
+					// The subscript's definition, searched back to the
+					// start of q's straight-line block.
+					for p := q - 1; p >= 0 && !targets[int32(p+1)]; p-- {
+						if intDest(bf.code[p]) != r {
+							continue
+						}
+						if bf.code[p].Op == opIAddK {
+							t.Errorf("%s %s: pc %d adds %d into temp %d for the subscript read at pc %d",
+								cm.name, name, p, bf.code[p].K, r, q)
+						}
+						break
+					}
+				}
+			}
+		}
+	}
+	path := filepath.Join("testdata", "shape.golden")
+	if *updateShape {
+		if err := os.WriteFile(path, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if golden.String() != string(want) {
+		t.Errorf("compiled shape differs from %s (-update rewrites it):\n%s", path, golden.String())
+	}
+
+	m := machineFor(t, `
+void f(int n, double *a) {
+	int i, j;
+	for (i = 0; i < n - 1 - 1; i = i + 1) {
+		for (j = 0; j < n - 1 - 1; j = j + 1) {
+			a[j + 1] = a[j + 1 + 1] + 0.5;
+		}
+	}
+}`, "vm")
+	backEdges := 0
+	for pc, in := range m.ensureBytecode().funcs["f"].code {
+		switch {
+		case in.Op == opJIncLt:
+			backEdges++
+		case in.Op == opIAddK && in.A == in.B:
+			t.Errorf("pc %d: a loop index steps by its own opIAddK, outside a fused back edge", pc)
+		}
+	}
+	if backEdges != 2 {
+		t.Errorf("two normalized loops bounded by n - 1 - 1 end in %d fused back edges, want 2", backEdges)
+	}
 }
 
 // goRelation applies a mini-C relational operator with Go's semantics:
