@@ -111,9 +111,10 @@ type Span struct {
 
 // spanChunkBits sizes the recorder's chunked span storage; chunks keep
 // span addresses stable so counter adds can be lock-free atomics while
-// Start appends.
+// Start appends. A chunk holds 32 spans (4 KiB): the daemon traces every
+// analysis, and one corpus program records 11 to 29 spans.
 const (
-	spanChunkBits = 8
+	spanChunkBits = 5
 	spanChunkSize = 1 << spanChunkBits
 	// maxSpans bounds a recorder against runaway span creation (a
 	// pathological input analyzed with tracing on). Further Starts are
