@@ -26,7 +26,8 @@
 #   make vm-differential — tree vs VM under the race detector: corpus
 #                  bit-identity, the region-entry gate on adversarial
 #                  subscript arrays (guards must send the region serial),
-#                  the counter_max check alias, and global pointers
+#                  the regions each engine opens or declines, the
+#                  counter_max check alias, and global pointers
 #   make codegen-differential — native-code differential: emit every
 #                  corpus kernel as a standalone parallel Go package,
 #                  go vet + build it with -race, run serial / 8-worker /
@@ -89,9 +90,12 @@ benchsmoke:
 # every guarded kernel scrambled subscript arrays (TestGuard): both
 # engines must take the same region-or-fallback path and reach the
 # serial end state. The counter_max alias holds in runtime checks only,
-# and a global pointer declarator is an array on both engines.
+# and a global pointer declarator is an array on both engines. Both
+# engines open, decline and fall back in the regions
+# internal/corpus/testdata/regions.txt records, and a work estimate past
+# 2^63 opens its region rather than wrapping into a decline.
 vm-differential:
-	$(GO) test -race -run 'TestDifferential|TestScatterSerialVsParallel|TestVM|TestGuard|TestCounterMax|TestGlobalPointer' \
+	$(GO) test -race -run 'TestDifferential|TestScatterSerialVsParallel|TestVM|TestGuard|TestCounterMax|TestGlobalPointer|TestRegions|TestDecline' \
 		./internal/corpus/ ./internal/interp/
 
 # End-to-end daemon smoke: binds an ephemeral loopback port, posts the

@@ -33,8 +33,8 @@ func main() {
 	workers := max(runtime.GOMAXPROCS(0), 2) // two on one core, so the region runs
 	serial, _ := run(b, 1)
 	par, stats := run(b, workers)
-	fmt.Printf("\nVM, %d workers: %d parallel regions, %d fallbacks\n",
-		workers, stats.ParallelRegions, stats.RuntimeFallback)
+	fmt.Printf("\nVM, %d workers: %d parallel regions, %d declined, %d fallbacks\n",
+		workers, stats.ParallelRegions, stats.Declined, stats.RuntimeFallback)
 	if !sameState(serial, par) {
 		fmt.Println("end state differs from the serial run")
 		os.Exit(1)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/interp"
+	"repro/internal/parallelize"
 	"repro/internal/phase2"
 )
 
@@ -71,27 +72,49 @@ func DiffArrays(ref map[string]*interp.Array, got map[string]*interp.Array) stri
 	return ""
 }
 
+// openPlan clears the work estimate of every loop of the plan, so each
+// chosen loop opens its region whenever its entry gate passes, as it
+// does at sizes where the estimate reaches parallelize.MinWork. The arms
+// that exercise the parallel machinery run on such plans: at quick scale
+// most regions would decline.
+func openPlan(plan *parallelize.Plan) *parallelize.Plan {
+	for _, fp := range plan.Funcs {
+		for _, lp := range fp.Loops {
+			lp.Work = nil
+		}
+	}
+	return plan
+}
+
 // vmOracle runs a workload on the bytecode VM and returns the end state
-// and region counters.
-func vmOracle(t *testing.T, w *corpus.Work, workers int) (map[string]*interp.Array, int64, int64) {
+// and region counters; open runs it on the plan with its estimates
+// cleared (openPlan).
+func vmOracle(t *testing.T, w *corpus.Work, workers int, open bool) (map[string]*interp.Array, interp.Stats) {
 	t.Helper()
 	m, err := w.NewMachine(workers)
 	if err != nil {
 		t.Fatalf("machine: %v", err)
 	}
+	if open {
+		openPlan(m.Plan)
+	}
 	m.Interp = "vm"
 	if err := w.Run(m); err != nil {
 		t.Fatalf("vm@%d: %v", workers, err)
 	}
-	return w.Arrays, int64(m.Stats.ParallelRegions), int64(m.Stats.RuntimeFallback)
+	return w.Arrays, m.Stats
 }
 
-// buildKernel emits and compiles one benchmark, returning the package
-// dir and binary path.
-func buildKernel(t *testing.T, b *corpus.Benchmark, race bool) (string, string) {
+// nativeStats is a native run's region counters in the VM's form.
+func nativeStats(res *RunResult) interp.Stats {
+	return interp.Stats{ParallelRegions: int(res.Parallel), RuntimeFallback: int(res.Fallback), Declined: int(res.Declined)}
+}
+
+// buildKernel emits and compiles a plan as the given module, returning
+// the package dir and binary path.
+func buildKernel(t *testing.T, plan *parallelize.Plan, module string, race bool) (string, string) {
 	t.Helper()
-	plan := corpus.PlanFor(b, phase2.LevelNew)
-	pkg, err := EmitPackage(plan, "subsubgen/"+sanitizeModule(b.Name))
+	pkg, err := EmitPackage(plan, module)
 	if err != nil {
 		t.Fatalf("emit: %v", err)
 	}
@@ -124,7 +147,11 @@ func runNative(t *testing.T, bin string, w *corpus.Work, workers int, failGuards
 // -race, and runs serial, 8-worker and guard-forced bit-identical to
 // the bytecode VM, with matching region counters. A kernel whose chosen
 // loop carries a guard also runs each corpus.Adversarial workload at 8
-// workers: the serial end state, and the VM's region counters.
+// workers: the serial end state, and the VM's region counters. These
+// arms run the plan with its estimates cleared (openPlan), so every
+// region opens as its gate decides; the plan itself, whose regions below
+// parallelize.MinWork decline, builds without -race and runs at 8
+// workers against the VM on the same plan.
 func TestCodegenDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs native binaries")
@@ -132,7 +159,8 @@ func TestCodegenDifferential(t *testing.T) {
 	for _, b := range corpus.Extended() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			dir, bin := buildKernel(t, b, true)
+			module := "subsubgen/" + sanitizeModule(b.Name)
+			dir, bin := buildKernel(t, openPlan(corpus.PlanFor(b, phase2.LevelNew)), module, true)
 
 			vet := exec.Command("go", "vet", ".")
 			vet.Dir = dir
@@ -141,16 +169,16 @@ func TestCodegenDifferential(t *testing.T) {
 			}
 
 			work := func() *corpus.Work { return corpus.NewWork(b, corpus.ScaleQuick) }
-			serialRef, _, _ := vmOracle(t, work(), 1)
-			parRef, vmPar, vmFb := vmOracle(t, work(), 8)
+			serialRef, _ := vmOracle(t, work(), 1, true)
+			parRef, vmSt := vmOracle(t, work(), 8, true)
 
 			// Serial native: no parallel machinery engages at workers=1.
 			res := runNative(t, bin, work(), 1, nil)
 			if d := DiffArrays(serialRef, res.Arrays); d != "" {
 				t.Errorf("serial: %s", d)
 			}
-			if res.Parallel != 0 || res.Fallback != 0 {
-				t.Errorf("serial: stats %d/%d, want 0/0", res.Parallel, res.Fallback)
+			if st := nativeStats(res); st != (interp.Stats{}) {
+				t.Errorf("serial: stats %+v, want none", st)
 			}
 
 			// 8-worker native: same end state and region counters as the VM.
@@ -158,8 +186,8 @@ func TestCodegenDifferential(t *testing.T) {
 			if d := DiffArrays(parRef, res.Arrays); d != "" {
 				t.Errorf("parallel: %s", d)
 			}
-			if res.Parallel != vmPar || res.Fallback != vmFb {
-				t.Errorf("parallel: stats %d/%d, want %d/%d (vm)", res.Parallel, res.Fallback, vmPar, vmFb)
+			if st := nativeStats(res); st != vmSt {
+				t.Errorf("parallel: stats %+v, want %+v (vm)", st, vmSt)
 			}
 
 			// Forced guard failure: every region entry must take the serial
@@ -171,7 +199,7 @@ func TestCodegenDifferential(t *testing.T) {
 			if res.Parallel != 0 {
 				t.Errorf("forced fallback: %d regions still ran parallel", res.Parallel)
 			}
-			if want := vmPar + vmFb; res.Fallback != want {
+			if want := int64(vmSt.ParallelRegions + vmSt.RuntimeFallback); res.Fallback != want {
 				t.Errorf("forced fallback: %d fallbacks, want %d", res.Fallback, want)
 			}
 
@@ -186,15 +214,26 @@ func TestCodegenDifferential(t *testing.T) {
 				if adversarial() == nil {
 					break
 				}
-				serialRef, _, _ := vmOracle(t, adversarial(), 1)
-				_, vmPar, vmFb := vmOracle(t, adversarial(), 8)
+				serialRef, _ := vmOracle(t, adversarial(), 1, true)
+				_, vmSt := vmOracle(t, adversarial(), 8, true)
 				res := runNative(t, bin, adversarial(), 8, nil)
 				if d := DiffArrays(serialRef, res.Arrays); d != "" {
 					t.Errorf("%s: %s", s, d)
 				}
-				if res.Parallel != vmPar || res.Fallback != vmFb {
-					t.Errorf("%s: stats %d/%d, want %d/%d (vm)", s, res.Parallel, res.Fallback, vmPar, vmFb)
+				if st := nativeStats(res); st != vmSt {
+					t.Errorf("%s: stats %+v, want %+v (vm)", s, st, vmSt)
 				}
+			}
+
+			// The plan as analyzed: the same regions decline as on the VM.
+			_, planBin := buildKernel(t, corpus.PlanFor(b, phase2.LevelNew), module, false)
+			planRef, planSt := vmOracle(t, work(), 8, false)
+			res = runNative(t, planBin, work(), 8, nil)
+			if d := DiffArrays(planRef, res.Arrays); d != "" {
+				t.Errorf("plan: %s", d)
+			}
+			if st := nativeStats(res); st != planSt {
+				t.Errorf("plan: stats %+v, want %+v (vm)", st, planSt)
 			}
 		})
 	}

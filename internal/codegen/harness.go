@@ -51,6 +51,7 @@ type ioOutput struct {
 	Arrays   []ioArray `json:"arrays"`
 	Parallel int64     `json:"parallel"`
 	Fallback int64     `json:"fallback"`
+	Declined int64     `json:"declined"`
 	Seconds  float64   `json:"seconds"`
 }
 
@@ -59,9 +60,9 @@ type RunResult struct {
 	// Arrays is the end state by name, decoded back into interpreter
 	// arrays for comparison.
 	Arrays map[string]*interp.Array
-	// Parallel and Fallback are the binary's region counters, the
-	// native analogues of interp.ExecStats.
-	Parallel, Fallback int64
+	// Parallel, Fallback and Declined are the binary's region counters,
+	// the native analogues of interp.Stats.
+	Parallel, Fallback, Declined int64
 	// Seconds is the binary-internal wall time of the call sequence
 	// (excludes process start and JSON decode).
 	Seconds float64
@@ -168,6 +169,7 @@ func RunBinary(bin string, input []byte) (*RunResult, error) {
 		Arrays:   map[string]*interp.Array{},
 		Parallel: out.Parallel,
 		Fallback: out.Fallback,
+		Declined: out.Declined,
 		Seconds:  out.Seconds,
 	}
 	for _, a := range out.Arrays {

@@ -22,9 +22,11 @@ type fnGen struct {
 	b     *cminus.Binds
 	buf   *bytes.Buffer
 	depth int
-	// checks holds each chosen loop's runtime checks, bound at the loop
-	// before lowering starts, so the names they read count as reads.
-	checks map[*cminus.ForStmt][]cminus.Expr
+	// checks holds each chosen loop's runtime checks and declines its
+	// decline condition (parallelize.LoopPlan.Declines), bound at the
+	// loop before lowering starts, so the names they read count as reads.
+	checks   map[*cminus.ForStmt][]cminus.Expr
+	declines map[*cminus.ForStmt]cminus.Expr
 }
 
 // typOf is a scalar binding's Go type.
@@ -44,7 +46,7 @@ func (fg *fnGen) line(format string, args ...any) {
 // lowerFunc emits one Go function for a mini-C function with a body.
 func (g *gen) lowerFunc(fn *cminus.FuncDecl, fp *parallelize.FuncPlan) (string, error) {
 	fg := &fnGen{g: g, fn: fn, fp: fp, b: g.binds[fn], buf: &bytes.Buffer{}, depth: 1,
-		checks: map[*cminus.ForStmt][]cminus.Expr{}}
+		checks: map[*cminus.ForStmt][]cminus.Expr{}, declines: map[*cminus.ForStmt]cminus.Expr{}}
 	if err := fg.oneNamespace(); err != nil {
 		return "", fmt.Errorf("%s: %w", fn.Name, err)
 	}
@@ -107,9 +109,9 @@ func (fg *fnGen) oneNamespace() error {
 	return nil
 }
 
-// bindPlan binds the runtime checks of the function's chosen loops at
-// their loops and marks their guard arrays read: the emitted entry
-// conditions read both.
+// bindPlan binds the decline conditions and runtime checks of the
+// function's chosen loops at their loops and marks their guard arrays
+// read: the emitted entry conditions read them all.
 func (fg *fnGen) bindPlan() error {
 	if fg.fp == nil {
 		return nil
@@ -119,7 +121,12 @@ func (fg *fnGen) bindPlan() error {
 		if lp == nil || !lp.Chosen {
 			continue
 		}
-		checks, err := lp.Checks(func(name string) bool { return fg.b.Lookup(loop, name, false) != nil })
+		bound := func(name string) bool { return fg.b.Lookup(loop, name, false) != nil }
+		if cond := lp.Declines(bound); cond != nil {
+			fg.b.BindAt(loop, cond)
+			fg.declines[loop] = cond
+		}
+		checks, err := lp.Checks(bound)
 		if err != nil {
 			return fmt.Errorf("loop %s: %w", loop.Label, err)
 		}
@@ -555,7 +562,8 @@ func hasContinue(b *cminus.Block) bool {
 
 // lowerParallelFor emits the parallel region for a plan-chosen loop,
 // replicating the interpreter's execParallelFor semantics bit for bit:
-// entry checks and guards with serial fallback, workers clamped to the
+// the decline test on the work estimate, then entry checks and guards
+// with serial fallback, workers clamped to the
 // trip count, ParallelLoop's static blocks of ceil(n/w), per-block
 // reduction partials initialized to the operator identity and combined
 // in block order (skipping empty tail blocks), and the loop
@@ -595,7 +603,19 @@ func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) e
 	flag := "rtPar_" + x.Label
 	fg.line("// %s: %s", x.Label, fg.fp.Pragmas[x.Label])
 	fg.line("%s := false", flag)
-	fg.line("if rtWorkers > 1 {")
+	if cond := fg.declines[x]; cond != nil {
+		// A region whose work estimate is below parallelize.MinWork runs
+		// its serial loop, as on one worker.
+		ce, err := fg.lowerExpr(cond)
+		if err != nil {
+			return fmt.Errorf("loop %s: %w", x.Label, err)
+		}
+		fg.line("if rtWorkers > 1 && %s {", conv(ce, tBool).at(precAnd))
+		fg.line("\trtStats.Declined++")
+		fg.line("} else if rtWorkers > 1 {")
+	} else {
+		fg.line("if rtWorkers > 1 {")
+	}
 	fg.depth++
 	fg.line("var rtN int64 = %s", nExpr.s)
 	fg.line("if %s {", strings.Join(conds, " && "))

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,8 +17,10 @@ import (
 // TestCodegenDifferentialScope emits the scope agreement rows of the
 // interp tests (internal/interp/testdata/scope). A row the interpreters
 // reject with a diagnostic must fail EmitPackage. The other rows emit
-// as one program, which builds once with -race and runs every row at 1
-// and 2 workers; each must end in the VM's state, with the VM's region
+// as one program, on the plan with its estimates cleared (openPlan),
+// which builds with -race and runs every row at 1 and 2 workers, and on
+// the plan itself, whose regions at n = 7 decline, which runs at 2
+// workers; each must end in the VM's state, with the VM's region
 // counters.
 func TestCodegenDifferentialScope(t *testing.T) {
 	if testing.Short() {
@@ -46,18 +49,9 @@ func TestCodegenDifferentialScope(t *testing.T) {
 		src.Write(b)
 	}
 	plan := parallelize.Run(cminus.MustParse(src.String()), phase2.LevelNew, nil)
-	pkg, err := EmitPackage(plan, "subsubgen/scope")
-	if err != nil {
-		t.Fatalf("emit: %v", err)
-	}
-	dir := t.TempDir()
-	if err := pkg.WritePackage(dir); err != nil {
-		t.Fatal(err)
-	}
-	bin, err := BuildBinary(dir, true)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
+	open := openPlan(parallelize.Run(cminus.MustParse(src.String()), phase2.LevelNew, nil))
+	_, openBin := buildKernel(t, open, "subsubgen/scope", true)
+	_, planBin := buildKernel(t, plan, "subsubgen/scope", false)
 	work := func() *corpus.Work {
 		w := &corpus.Work{Arrays: map[string]*interp.Array{}}
 		for _, name := range names {
@@ -67,23 +61,27 @@ func TestCodegenDifferentialScope(t *testing.T) {
 		}
 		return w
 	}
-	for _, workers := range []int{1, 2} {
+	for _, run := range []struct {
+		plan    *parallelize.Plan
+		bin     string
+		workers int
+	}{{open, openBin, 1}, {open, openBin, 2}, {plan, planBin, 2}} {
 		ref := work()
-		m, err := interp.New(plan.Program())
+		m, err := interp.New(run.plan.Program())
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Plan, m.Workers, m.Interp = plan, workers, "vm"
+		m.Plan, m.Workers, m.Interp = run.plan, run.workers, "vm"
 		if err := ref.Run(m); err != nil {
-			t.Fatalf("vm@%d: %v", workers, err)
+			t.Fatalf("vm@%d: %v", run.workers, err)
 		}
-		res := runNative(t, bin, work(), workers, nil)
+		res := runNative(t, run.bin, work(), run.workers, nil)
+		label := fmt.Sprintf("workers=%d open=%v", run.workers, run.plan == open)
 		if d := DiffArrays(ref.Arrays, res.Arrays); d != "" {
-			t.Errorf("workers=%d: %s", workers, d)
+			t.Errorf("%s: %s", label, d)
 		}
-		if res.Parallel != int64(m.Stats.ParallelRegions) || res.Fallback != int64(m.Stats.RuntimeFallback) {
-			t.Errorf("workers=%d: stats %d/%d, want %d/%d (vm)", workers, res.Parallel, res.Fallback,
-				m.Stats.ParallelRegions, m.Stats.RuntimeFallback)
+		if st := nativeStats(res); st != m.Stats {
+			t.Errorf("%s: stats %+v, want %+v (vm)", label, st, m.Stats)
 		}
 	}
 }

@@ -5,17 +5,35 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/parallelize"
 	"repro/internal/phase2"
 )
 
-// runEngines executes the benchmark's workload under the given engine
-// and worker count and returns the array end state.
-func runEngine(t *testing.T, b *Benchmark, engine string, workers int) (map[string]*interp.Array, *interp.Machine) {
+// openPlan clears the work estimate of every loop of the plan, so each
+// chosen loop opens its region whenever its entry gate passes, as it
+// does at sizes where the estimate reaches parallelize.MinWork. Tests of
+// the parallel machinery run on such plans: at quick scale most regions
+// would decline.
+func openPlan(plan *parallelize.Plan) {
+	for _, fp := range plan.Funcs {
+		for _, lp := range fp.Loops {
+			lp.Work = nil
+		}
+	}
+}
+
+// runEngine executes the benchmark's workload under the given engine
+// and worker count and returns the array end state. open runs it on
+// the plan with its estimates cleared (openPlan).
+func runEngine(t *testing.T, b *Benchmark, engine string, workers int, open bool) (map[string]*interp.Array, *interp.Machine) {
 	t.Helper()
 	w := NewWork(b, ScaleQuick)
 	m, err := w.NewMachine(workers)
 	if err != nil {
 		t.Fatalf("%s: machine: %v", b.Name, err)
+	}
+	if open {
+		openPlan(m.Plan)
 	}
 	m.Interp = engine
 	if err := w.Run(m); err != nil {
@@ -55,18 +73,25 @@ func requireIdentical(t *testing.T, want, got map[string]*interp.Array, label st
 }
 
 // TestDifferentialEngines runs every corpus benchmark under the tree
-// oracle and the bytecode VM, serially and at Workers=8, and requires
-// bit-identical end states per worker count. (Serial and parallel float
-// results may legitimately differ in low bits — the contract is engine
-// identity, not schedule identity.)
+// oracle and the bytecode VM, serially and at Workers=8, on the plan and
+// at 8 workers on the plan with its estimates cleared (openPlan), and
+// requires bit-identical end states and equal region counters per run.
+// (Serial and parallel float results may legitimately differ in low
+// bits — the contract is engine identity, not schedule identity.)
 func TestDifferentialEngines(t *testing.T) {
 	for _, b := range Extended() {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, workers := range []int{1, 8} {
-				ref, _ := runEngine(t, b, "tree", workers)
-				got, _ := runEngine(t, b, "vm", workers)
+			for _, run := range []struct {
+				workers int
+				open    bool
+			}{{1, false}, {8, false}, {8, true}} {
+				ref, mt := runEngine(t, b, "tree", run.workers, run.open)
+				got, mv := runEngine(t, b, "vm", run.workers, run.open)
 				requireIdentical(t, ref, got, b.Name+"/vm")
+				if mt.Stats != mv.Stats {
+					t.Errorf("%+v: tree counts %+v, vm %+v", run, mt.Stats, mv.Stats)
+				}
 			}
 		})
 	}
@@ -74,7 +99,8 @@ func TestDifferentialEngines(t *testing.T) {
 
 // TestDifferentialParallelExercised guards against the differential
 // test passing vacuously: the benchmarks whose plans choose an outer
-// loop must actually run parallel regions on both engines.
+// loop must actually run parallel regions on both engines, on the plans
+// with their estimates cleared.
 func TestDifferentialParallelExercised(t *testing.T) {
 	for _, name := range []string{"AMGmk", "UA(transf)", "SDDMM", "CG",
 		"Scatter-Identity", "Scatter-Shuffle", "Scatter-Interleave"} {
@@ -86,7 +112,7 @@ func TestDifferentialParallelExercised(t *testing.T) {
 			continue
 		}
 		for _, engine := range []string{"tree", "vm"} {
-			_, m := runEngine(t, b, engine, 8)
+			_, m := runEngine(t, b, engine, 8, true)
 			if m.Stats.ParallelRegions == 0 {
 				t.Errorf("%s [%s@8]: no parallel regions executed", name, engine)
 			}
@@ -97,15 +123,17 @@ func TestDifferentialParallelExercised(t *testing.T) {
 // TestScatterSerialVsParallel checks the scatter extension end to end:
 // the a[p[i]] kernels write each cell exactly once (p is a permutation),
 // so unlike reductions the parallel schedule cannot perturb float
-// results — serial and 8-worker runs must be bit-identical. Run under
-// -race this also proves the chosen outer loops carry no data races.
+// results — serial and 8-worker runs must be bit-identical. The
+// 8-worker runs use the plans with their estimates cleared, whose quick
+// scale regions would otherwise decline. Run under -race this also
+// proves the chosen outer loops carry no data races.
 func TestScatterSerialVsParallel(t *testing.T) {
 	for _, b := range Scatter() {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, engine := range []string{"tree", "vm"} {
-				ref, _ := runEngine(t, b, engine, 1)
-				got, m := runEngine(t, b, engine, 8)
+				ref, _ := runEngine(t, b, engine, 1, false)
+				got, m := runEngine(t, b, engine, 8, true)
 				requireIdentical(t, ref, got, b.Name+"/"+engine)
 				if m.Stats.ParallelRegions == 0 {
 					t.Errorf("%s [%s@8]: no parallel regions executed", b.Name, engine)
@@ -151,9 +179,10 @@ func TestGuardBypassAMGmk(t *testing.T) {
 // TestGuardAdversarial feeds every kernel whose chosen loop carries a
 // guard a scrambled subscript array (Adversarial) in place of its fill
 // calls. Whether the guard passes or fails, the VM and the tree walker
-// at 8 workers must reach the serial end state bit for bit and agree on
-// their region and fallback counters; under -race a guard that passes a
-// conflicting array shows as a data race too.
+// at 8 workers, on the plan with its estimates cleared, must reach the
+// serial end state bit for bit and agree on their region and fallback
+// counters; under -race a guard that passes a conflicting array shows as
+// a data race too.
 func TestGuardAdversarial(t *testing.T) {
 	covered := map[string]bool{}
 	for _, b := range Extended() {
@@ -172,6 +201,7 @@ func TestGuardAdversarial(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					openPlan(m.Plan)
 					m.Interp = engine
 					if err := w.Run(m); err != nil {
 						t.Fatalf("%s %s@%d: %v", s, engine, workers, err)

@@ -51,10 +51,13 @@ func BenchmarkInterpVM(b *testing.B) {
 // BenchmarkInterpRegions times parallel-region dispatch: every corpus
 // kernel at quick scale on the VM, with 1 and 2 workers. Like an
 // operation of perfbench's exec-kernels workload, an iteration restores
-// the seeded inputs, then runs the calls. The quick-scale regions are
-// short next to a region's fork-join: gramschmidt opens 48 regions per
-// run and the Scatter and CHOLMOD regions each last a few microseconds,
-// while heat-3d's, MG's and syrk's gain from a second worker.
+// the seeded inputs, then runs the calls. It reports the regions opened
+// and declined per run. Most quick-scale regions are short next to a
+// region's fork-join: gramschmidt's 48 and the Scatter kernels' 2 per run
+// decline for a work estimate below parallelize.MinWork, CHOLMOD's
+// region, whose estimate is unknown, opens and lasts a few microseconds,
+// and heat-3d's, MG's, syrk's and fdtd-2d's sweeps open and gain from a
+// second worker.
 func BenchmarkInterpRegions(b *testing.B) {
 	for _, bench := range Extended() {
 		for _, workers := range []int{1, 2} {
@@ -79,10 +82,13 @@ func BenchmarkInterpRegions(b *testing.B) {
 					}
 				}
 				run() // warm-up: compile + touch memory
+				before := m.Stats
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					run()
 				}
+				b.ReportMetric(float64(m.Stats.ParallelRegions-before.ParallelRegions)/float64(b.N), "regions/op")
+				b.ReportMetric(float64(m.Stats.Declined-before.Declined)/float64(b.N), "declined/op")
 			})
 		}
 	}

@@ -179,6 +179,7 @@ const (
 	// Parallel regions.
 	opJNoPar   // if m.Workers <= 1 { pc = A }
 	opFall     // Stats.RuntimeFallback++
+	opDecl     // Stats.Declined++
 	opParEnter // guards of pars[Aux] over ints[B] trips hold ? Stats.ParallelRegions++ : pc = A
 	opPar      // run parallel loop pars[Aux]; trip count in ints[B], control out in ints[A]
 	opIterRet  // propagate a worker/return control: ctlReturn
@@ -2055,9 +2056,11 @@ func (bc *bcCompiler) serialFor(loop *cminus.ForStmt) {
 }
 
 // emitFor compiles a loop. A plan-chosen loop gets the region entry
-// gate ahead of its serial form: the runtime checks, the trip count,
-// then opParEnter, which runs the guard scans and counts the region.
-// Any failure lands on opFall and the serial loop.
+// gate ahead of its serial form: the decline test on its work estimate,
+// which lands on opDecl and the serial loop, then the runtime checks,
+// the trip count, and opParEnter, which runs the guard scans and counts
+// the region. Any failure of the gate lands on opFall and the serial
+// loop.
 func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 	lp := bc.r.planFor(loop)
 	if lp == nil || !lp.Chosen {
@@ -2066,7 +2069,16 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 	}
 	lserial, lfall, lend := bc.newLabel(), bc.newLabel(), bc.newLabel()
 	bc.jump(Instr{Op: opJNoPar}, lserial)
-	checks, err := lp.Checks(func(name string) bool { return bc.r.b.Lookup(loop, name, false) != nil })
+	bound := func(name string) bool { return bc.r.b.Lookup(loop, name, false) != nil }
+	ldecl := int32(-1)
+	if cond := lp.Declines(bound); cond != nil {
+		ldecl = bc.newLabel()
+		bc.r.b.BindAt(loop, cond)
+		ti, tf := bc.save()
+		bc.emitBranch(cond, ldecl, true)
+		bc.restore(ti, tf)
+	}
+	checks, err := lp.Checks(bound)
 	if err != nil {
 		bc.errOp("interp: %v", err)
 	}
@@ -2137,6 +2149,11 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 	}
 	bc.bind(lfall)
 	bc.emit(Instr{Op: opFall})
+	if ldecl >= 0 {
+		bc.jump(Instr{Op: opJump}, lserial)
+		bc.bind(ldecl)
+		bc.emit(Instr{Op: opDecl})
+	}
 	bc.bind(lserial)
 	bc.serialFor(loop)
 	bc.bind(lend)

@@ -55,10 +55,14 @@ type Machine struct {
 	bc *bytecodeProgram
 }
 
-// Stats records execution events for tests and reports.
+// Stats records execution events for tests and reports. A plan-chosen
+// loop run on more than one worker counts once: a region that opened,
+// a fallback whose entry gate failed, or a decline whose work estimate
+// was below parallelize.MinWork.
 type Stats struct {
 	ParallelRegions int
 	RuntimeFallback int
+	Declined        int
 }
 
 // env is one block scope of the tree walker, the scope chain the cminus
@@ -735,24 +739,37 @@ func (m *Machine) evalCall(c *cminus.CallExpr, e *env) (Value, error) {
 	return FloatVal(bi.Eval(args)), nil
 }
 
-// execFor runs a for loop, in parallel when the plan selects it and
-// the region's entry gate passes (enterRegion). A failed gate runs the
-// serial loop and counts a fallback.
+// execFor runs a for loop, in parallel when the plan selects it, its
+// work estimate reaches parallelize.MinWork and the region's entry gate
+// passes (enterRegion). A declined region runs the serial loop and
+// counts a decline; a failed gate runs it and counts a fallback.
 func (m *Machine) execFor(loop *cminus.ForStmt, e *env, fp *parallelize.FuncPlan) error {
 	var lp *parallelize.LoopPlan
 	if fp != nil {
 		lp = fp.Loops[loop.Label]
 	}
 	if lp != nil && lp.Chosen && m.Workers > 1 {
-		ivar, n, ok, err := m.enterRegion(loop, lp, e)
-		if err != nil {
-			return err
+		declined := false
+		if cond := lp.Declines(func(name string) bool { return m.scalar(name, e) != nil }); cond != nil {
+			v, err := m.eval(cond, e)
+			if err != nil {
+				return err
+			}
+			declined = v.Truthy()
 		}
-		if ok {
-			m.Stats.ParallelRegions++
-			return m.execParallelFor(loop, e, fp, lp, ivar, n)
+		if declined {
+			m.Stats.Declined++
+		} else {
+			ivar, n, ok, err := m.enterRegion(loop, lp, e)
+			if err != nil {
+				return err
+			}
+			if ok {
+				m.Stats.ParallelRegions++
+				return m.execParallelFor(loop, e, fp, lp, ivar, n)
+			}
+			m.Stats.RuntimeFallback++
 		}
-		m.Stats.RuntimeFallback++
 	}
 	// Serial execution. The clauses share one scope around the body. The
 	// post runs after the body, so a name it defines is visible to nothing

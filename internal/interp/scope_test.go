@@ -85,25 +85,43 @@ func (r scopeRun) same(o scopeRun) bool {
 	return true
 }
 
+// openPlan clears the work estimate of every loop of the plan, so each
+// chosen loop opens its region whenever its entry gate passes, as it
+// does at sizes where the estimate reaches parallelize.MinWork. At
+// n = 7 every region would decline.
+func openPlan(plan *parallelize.Plan) *parallelize.Plan {
+	for _, fp := range plan.Funcs {
+		for _, lp := range fp.Loops {
+			lp.Work = nil
+		}
+	}
+	return plan
+}
+
 // TestVMScopeAgreement runs every scope row through the plan path (the
 // New-level plan's program) on the tree walker and the VM at 1 and 2
-// workers. All four runs must end in bit-identical states with the same
-// diagnostic, and that state must be the row's C expectation.
+// workers, and at 2 workers on the plan with its estimates cleared
+// (openPlan). All six runs must end in bit-identical states with the
+// same diagnostic, and that state must be the row's C expectation; the
+// VM must count the regions the tree walker counts at each setting.
 func TestVMScopeAgreement(t *testing.T) {
 	for _, row := range loadScopeRows(t) {
 		t.Run(row.name, func(t *testing.T) {
 			plan := parallelize.Run(cminus.MustParse(row.src), phase2.LevelNew, nil)
+			open := openPlan(parallelize.Run(cminus.MustParse(row.src), phase2.LevelNew, nil))
 			want := scopeRun{err: row.err, out: row.want}
 			var first scopeRun
+			var treeStats Stats
 			for i, run := range []struct {
 				engine  string
 				workers int
-			}{{"tree", 1}, {"vm", 1}, {"tree", 2}, {"vm", 2}} {
-				m, err := New(plan.Program())
+				plan    *parallelize.Plan
+			}{{"tree", 1, plan}, {"vm", 1, plan}, {"tree", 2, plan}, {"vm", 2, plan}, {"tree", 2, open}, {"vm", 2, open}} {
+				m, err := New(run.plan.Program())
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.Plan, m.Workers, m.Interp = plan, run.workers, run.engine
+				m.Plan, m.Workers, m.Interp = run.plan, run.workers, run.engine
 				out := NewFloatArray("out", 4)
 				got := scopeRun{out: out.Flts}
 				if err := m.Call(row.name, 7, out); err != nil {
@@ -119,10 +137,15 @@ func TestVMScopeAgreement(t *testing.T) {
 					first = got
 					want.globals = got.globals
 				} else if !got.same(first) {
-					t.Errorf("%s@%d: %v; tree@1: %v", run.engine, run.workers, got, first)
+					t.Errorf("%s@%d (open %v): %v; tree@1: %v", run.engine, run.workers, run.plan == open, got, first)
 				}
 				if !got.same(want) {
-					t.Errorf("%s@%d: %v; C: out %v, err %q", run.engine, run.workers, got, want.out, want.err)
+					t.Errorf("%s@%d (open %v): %v; C: out %v, err %q", run.engine, run.workers, run.plan == open, got, want.out, want.err)
+				}
+				if run.engine == "tree" {
+					treeStats = m.Stats
+				} else if m.Stats != treeStats {
+					t.Errorf("vm@%d (open %v): counts %+v, tree %+v", run.workers, run.plan == open, m.Stats, treeStats)
 				}
 			}
 		})

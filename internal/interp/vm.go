@@ -727,6 +727,8 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 			}
 		case opFall:
 			m.Stats.RuntimeFallback++
+		case opDecl:
+			m.Stats.Declined++
 		case opParEnter:
 			pl := &bf.pars[in.Aux]
 			if guardsHold(pl.guards, ints[in.B], func(i int) *Array { return fr.arrs[pl.guardSlots[i]] }) {
