@@ -37,8 +37,10 @@
 #                  adversarial near-miss suite, scatter dependence tests,
 #                  the serial-vs-parallel scatter differential, the
 #                  guard scans that verify the facts at run time, the
-#                  purity property over the tier-1 sources and the sign
-#                  prover pins, all under the race detector
+#                  purity property over the tier-1 sources, the sign
+#                  prover pins and the write-set pins (cminus.Writes, its
+#                  agreement with depend, the parser's targets, inline
+#                  renaming), all under the race detector
 #   make fault-e2e — fault-injection daemon tests (stall/panic/budget
 #                  failpoints) under the race detector
 #   make chaos-e2e — the fleet chaos gate: consistent-hash ring, circuit
@@ -156,8 +158,8 @@ fuzz-smoke:
 # equality, so no fact covers an unrelated head element) — all with -race
 # so the parallelized a[p[i]] writes are also checked for data races.
 property-soundness:
-	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned|TestGuardScan|TestPureCalls|TestNonlinear|TestProve|TestSeamFact' \
-		./internal/phase2/ ./internal/property/ ./internal/depend/ ./internal/corpus/ ./internal/guard/ ./internal/core/ ./internal/symbolic/
+	$(GO) test -race -run 'TestInjectivity|TestLattice|TestBestSelectors|TestInvalidateAndReplace|TestScatter|TestUAPinned|TestGuardScan|TestPureCalls|TestNonlinear|TestProve|TestSeamFact|TestWrites|TestParseRejectsTargets|TestInlineRenamesOnce' \
+		./internal/phase2/ ./internal/property/ ./internal/depend/ ./internal/corpus/ ./internal/guard/ ./internal/core/ ./internal/symbolic/ ./internal/cminus/ ./internal/inline/
 
 # Fault-injection end-to-end: deterministic failpoints (stall, panic,
 # budget exhaustion) driven through the daemon's real HTTP stack, under

@@ -1,5 +1,7 @@
 package cminus
 
+import "slices"
+
 // The AST for the mini-C language. Expressions and statements carry their
 // source position for diagnostics.
 
@@ -312,8 +314,10 @@ func WalkExprs(e Expr, fn func(Expr) bool) {
 	}
 }
 
-// StmtExprs visits every expression directly referenced by s (not
-// descending into nested statements).
+// StmtExprs visits every expression directly referenced by s, not
+// descending into nested statements: a for's init and post are
+// statements of their own, which WalkStmts visits. WalkStmts with
+// StmtExprs on each statement thus visits every expression once.
 func StmtExprs(s Stmt, fn func(Expr) bool) {
 	switch x := s.(type) {
 	case *AssignStmt:
@@ -333,16 +337,62 @@ func StmtExprs(s Stmt, fn func(Expr) bool) {
 	case *IfStmt:
 		WalkExprs(x.Cond, fn)
 	case *ForStmt:
-		if x.Init != nil {
-			StmtExprs(x.Init, fn)
-		}
 		WalkExprs(x.Cond, fn)
-		if x.Post != nil {
-			StmtExprs(x.Post, fn)
-		}
 	case *WhileStmt:
 		WalkExprs(x.Cond, fn)
 	case *ReturnStmt:
 		WalkExprs(x.X, fn)
 	}
+}
+
+// Writes returns the names s may change, each once and in sorted order:
+// the scalars it assigns (by = or op=), declares or steps with ++ or
+// --, and the arrays an element of which it assigns or steps. It visits
+// every expression of s once, the clauses of its loops and the arms of
+// its ifs included, so a ++ in a condition, a subscript or an argument
+// counts. What a call changes is its caller's concern.
+func Writes(s Stmt) (scalars, arrays []string) {
+	target := func(e Expr) {
+		if name, array, ok := writeTarget(e); ok && array {
+			arrays = append(arrays, name)
+		} else if ok {
+			scalars = append(scalars, name)
+		}
+	}
+	WalkStmts(s, func(st Stmt) bool {
+		switch x := st.(type) {
+		case *AssignStmt:
+			target(x.LHS)
+		case *DeclStmt:
+			for _, it := range x.Items {
+				if len(it.Dims) == 0 && it.PtrDeep == 0 {
+					scalars = append(scalars, it.Name)
+				}
+			}
+		}
+		StmtExprs(st, func(e Expr) bool {
+			if u, ok := e.(*UnaryExpr); ok && (u.Op == "++" || u.Op == "--") {
+				target(u.X)
+			}
+			return true
+		})
+		return true
+	})
+	slices.Sort(scalars)
+	slices.Sort(arrays)
+	return slices.Compact(scalars), slices.Compact(arrays)
+}
+
+// writeTarget returns the name an assignment or a ++ or -- changes:
+// the scalar e names, or the array e is an element of. ok is false for
+// any other expression; the parser admits no such target.
+func writeTarget(e Expr) (name string, array, ok bool) {
+	for ix, isIdx := e.(*IndexExpr); isIdx; ix, isIdx = e.(*IndexExpr) {
+		e, array = ix.Arr, true
+	}
+	id, ok := e.(*Ident)
+	if !ok {
+		return "", false, false
+	}
+	return id.Name, array, true
 }

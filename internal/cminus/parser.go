@@ -119,6 +119,11 @@ func (p *Parser) parseProgram() (*Program, error) {
 			if fn.Body != nil && LookupBuiltin(fn.Name) != nil {
 				return nil, fmt.Errorf("cminus: %s: cannot define builtin %q", nameTok.Pos, fn.Name)
 			}
+			for _, prev := range prog.Funcs {
+				if fn.Body != nil && prev.Body != nil && prev.Name == fn.Name {
+					return nil, fmt.Errorf("cminus: %s: function %q defined twice", nameTok.Pos, fn.Name)
+				}
+			}
 			prog.Funcs = append(prog.Funcs, fn)
 			continue
 		}
@@ -218,6 +223,11 @@ func (p *Parser) parseDeclRest(baseType, firstName string, firstPtr int, pos Pos
 			if _, err := p.expect(TokPunct, "]"); err != nil {
 				return nil, err
 			}
+		}
+		if p.at(TokPunct, "=") && (len(item.Dims) > 0 || item.PtrDeep > 0) {
+			// No engine runs it, and normalization would make it an
+			// assignment to a scalar of the same name.
+			return nil, p.errf("cannot initialize array %q", item.Name)
 		}
 		if p.accept(TokPunct, "=") {
 			init, err := p.parseExpr()
@@ -349,6 +359,12 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 	t := p.cur()
 	if t.Kind == TokPunct {
 		switch t.Text {
+		case "=", "+=", "-=", "*=", "/=", "%=":
+			if err := checkTarget(lhs, pos); err != nil {
+				return nil, err
+			}
+		}
+		switch t.Text {
 		case "=":
 			p.next()
 			rhs, err := p.parseExpr()
@@ -366,6 +382,16 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 		}
 	}
 	return &ExprStmt{X: lhs, P: pos}, nil
+}
+
+// checkTarget rejects a target of =, op=, ++ or -- that is neither a
+// name nor an array element, reporting it at pos: no engine can assign
+// one, and Writes sees no other write.
+func checkTarget(e Expr, pos Position) error {
+	if _, _, ok := writeTarget(e); !ok {
+		return fmt.Errorf("cminus: %s: cannot assign to %s", pos, PrintExpr(e))
+	}
+	return nil
 }
 
 func (p *Parser) parseFor() (*ForStmt, error) {
@@ -588,6 +614,11 @@ func (p *Parser) parseUnary() (Expr, error) {
 			if t.Text == "+" {
 				return x, nil
 			}
+			if t.Text == "++" || t.Text == "--" {
+				if err := checkTarget(x, t.Pos); err != nil {
+					return nil, err
+				}
+			}
 			return &UnaryExpr{Op: t.Text, X: x, P: t.Pos}, nil
 		case "(":
 			// Cast or parenthesized expression.
@@ -655,6 +686,9 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			}
 			x = &IndexExpr{Arr: x, Index: ix, P: t.Pos}
 		case "++", "--":
+			if err := checkTarget(x, t.Pos); err != nil {
+				return nil, err
+			}
 			p.next()
 			x = &UnaryExpr{Op: t.Text, X: x, Postfix: true, P: t.Pos}
 		default:

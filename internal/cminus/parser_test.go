@@ -1,6 +1,7 @@
 package cminus
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -209,6 +210,9 @@ void f(void) { helper(N); }
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		`void f( { }`,
+		`void f(void) { } int g(int n); void f(int n) { }`,
+		`void f(int n) { int a[2] = n; }`,
+		`void f(int *q) { int *p = q; }`,
 		`void f(void) { x = ; }`,
 		`void f(void) { if x > 0 {} }`,
 		`xyz`,
@@ -225,6 +229,26 @@ func TestParseErrors(t *testing.T) {
 // Go's strconv.ParseFloat. It refuses a malformed literal and one that
 // overflows a double, each with its position, and keeps an underflow
 // (0 or a subnormal) and the literal's text.
+// TestParseRejectsTargets: the target of =, op=, ++ and -- must be a
+// name or an array element; anything else fails at its statement or its
+// operator, before any engine or analysis sees it.
+func TestParseRejectsTargets(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"*p = i;", "cminus: 1:38: cannot assign to *p"},
+		{"i + 1 = 3;", "cminus: 1:38: cannot assign to i + 1"},
+		{"i * 2 += 3;", "cminus: 1:38: cannot assign to i * 2"},
+		{"(p[0] + 1)++;", "cminus: 1:48: cannot assign to p[0] + 1"},
+		{"--(i - 1);", "cminus: 1:38: cannot assign to i - 1"},
+		{"p[i] = -(i++);", ""},
+		{"p[p[0]--] += 1;", ""},
+	} {
+		_, err := Parse("void f(int i, int *p, double *out) { " + c.src + " }")
+		if got := fmt.Sprint(err); c.want == "" && err != nil || c.want != "" && got != c.want {
+			t.Errorf("%s: error %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
 func TestParseFloatLiterals(t *testing.T) {
 	lit := func(src string) (*FloatLit, error) {
 		prog, err := Parse("void f(double *out) { out[0] = " + src + "; }")

@@ -163,6 +163,38 @@ func TestNonlinearFillNoFact(t *testing.T) {
 	}
 }
 
+// condDecrementSrc fills a[i] = m + i while an inner loop's condition
+// lowers m on every test, so a[i] is the constant m whenever m <= 100
+// and a has no monotone section. The second loop scatters through
+// a[i + 1], which no guard scan covers.
+const condDecrementSrc = `
+void f(int n, int m, int *a, double *y, double *x) {
+    int i, j;
+    for (i = 0; i < n; i++) { a[i] = m + i; for (j = 0; m-- > 100; j++) { } }
+    for (i = 0; i < n - 1; i++) { y[a[i + 1]] = x[i]; }
+}
+`
+
+// TestWritesConditionNoFact: Phase 1 sees the m-- in the inner loop's
+// condition, so no level records a fact on a, and the scatter through
+// it stays serial.
+func TestWritesConditionNoFact(t *testing.T) {
+	for _, level := range []Level{Base, New} {
+		res, err := Analyze(condDecrementSrc, Options{Level: level})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Properties() {
+			if p.Array == "a" {
+				t.Errorf("%s: fact %s names a", level, p)
+			}
+		}
+		if use := res.Plan.Funcs["f"].Loops["L3"]; use == nil || use.Decision.Parallel {
+			t.Errorf("%s: the scatter y[a[i + 1]] is not serial:\n%s", level, res.Summary())
+		}
+	}
+}
+
 // seamSrc is SDDMM with a fill whose head col_ptr[0] = m is unrelated to
 // the entries the loop writes: for m > 1, col_ptr[0] exceeds col_ptr[1].
 const seamSrc = `

@@ -11,6 +11,8 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cminus"
 	"repro/internal/corpus"
+	"repro/internal/depend"
+	"repro/internal/normalize"
 	"repro/internal/parallelize"
 )
 
@@ -225,8 +227,8 @@ func TestCrashersRegression(t *testing.T) {
 }
 
 // propertySources are the programs the property tests run over: the
-// fuzz seeds, the crashers, the shipped benchmark programs and the
-// corpus.
+// fuzz seeds, the crashers, the shipped benchmark programs, the
+// interpreters' scope rows and the corpus with its scatter set.
 func propertySources(t *testing.T) []string {
 	t.Helper()
 	srcs := append(append([]string(nil), fuzzSeeds...), crasherCorpus(t)...)
@@ -234,7 +236,11 @@ func propertySources(t *testing.T) []string {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("testdata programs: %v (%d files)", err, len(files))
 	}
-	for _, file := range files {
+	rows, err := filepath.Glob(filepath.Join("..", "interp", "testdata", "scope", "*.c"))
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("scope rows: %v (%d files)", err, len(rows))
+	}
+	for _, file := range append(files, rows...) {
 		b, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -260,6 +266,49 @@ func TestLevelMonotonicity(t *testing.T) {
 		t.Fatal("no loop was parallel at a lower level and planned at a higher one")
 	}
 	t.Logf("%d sources, %d loop pairs compared", len(srcs), compared)
+}
+
+// TestWritesAgreeWithDepend: every scalar cminus.Writes finds in the
+// body of a normalized loop of propertySources is one depend's ordered
+// scan records as written, or one the body declares, so the two scans
+// cannot drift apart.
+func TestWritesAgreeWithDepend(t *testing.T) {
+	checked := 0
+	for _, src := range propertySources(t) {
+		prog, err := cminus.Parse(src)
+		if err != nil {
+			continue
+		}
+		for _, fn := range prog.Funcs {
+			if fn.Body == nil {
+				continue
+			}
+			norm := normalize.Func(fn)
+			for _, loop := range cminus.NumberLoops(norm.Func.Body) {
+				info := depend.CollectAccesses(loop, norm.Loops[loop.Label])
+				declared := map[string]bool{}
+				cminus.WalkStmts(loop.Body, func(s cminus.Stmt) bool {
+					if d, ok := s.(*cminus.DeclStmt); ok {
+						for _, it := range d.Items {
+							declared[it.Name] = true
+						}
+					}
+					return true
+				})
+				scalars, _ := cminus.Writes(loop.Body)
+				for _, v := range scalars {
+					checked++
+					if !info.ScalarWrites[v] && !declared[v] {
+						t.Errorf("%s/%s writes %s, which depend does not record\ninput: %q", fn.Name, loop.Label, v, src)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no loop writes a scalar")
+	}
+	t.Logf("%d scalar writes checked", checked)
 }
 
 // TestPureCalls runs the purity check over propertySources: no loop the

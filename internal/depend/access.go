@@ -100,9 +100,13 @@ func CollectAccesses(loop *cminus.ForStmt, meta *normalize.LoopMeta) *LoopAccess
 					info.ScalarFirstIsWrite[t.Name] = false
 				}
 			case *cminus.UnaryExpr:
-				// A ++ or -- the normalizer leaves in place (in a loop
-				// condition) reads its scalar, then writes it.
-				if id, ok := t.X.(*cminus.Ident); ok && (t.Op == "++" || t.Op == "--") {
+				// A ++ or -- the normalizer leaves in place (in an inner
+				// loop's header) reads its scalar or element, then writes
+				// it.
+				if t.Op != "++" && t.Op != "--" {
+					break
+				}
+				if id, ok := t.X.(*cminus.Ident); ok {
 					if !seenScalar[id.Name] {
 						seenScalar[id.Name] = true
 						info.ScalarFirstIsWrite[id.Name] = false
@@ -111,6 +115,13 @@ func CollectAccesses(loop *cminus.ForStmt, meta *normalize.LoopMeta) *LoopAccess
 					brokenRed[id.Name] = true
 					delete(info.Reductions, id.Name)
 					copyEnv[id.Name] = symbolic.Bottom{}
+				} else if name, idx, ok := cminus.ArrayBase(t.X); ok {
+					info.addAccess(name, idx, Read)
+					info.addAccessRMW(name, idx, true)
+					for _, ie := range idx {
+						scanExprReads(ie)
+					}
+					return false
 				}
 			case *cminus.CallExpr:
 				if cminus.LookupBuiltin(t.Fun) == nil {
@@ -134,8 +145,9 @@ func CollectAccesses(loop *cminus.ForStmt, meta *normalize.LoopMeta) *LoopAccess
 				}
 				info.ScalarWrites[id.Name] = true
 				// Record the copy value for subscript substitution; a
-				// conditional assignment makes the value unknown.
-				if condDepth == 0 {
+				// conditional assignment, or an op= an inner loop's
+				// header keeps, makes the value unknown.
+				if condDepth == 0 && x.Op == "" {
 					val := symbolic.Substitute(convertSubscript(x.RHS), copyEnv)
 					copyEnv[id.Name] = val
 				} else {
@@ -168,6 +180,7 @@ func CollectAccesses(loop *cminus.ForStmt, meta *normalize.LoopMeta) *LoopAccess
 			scanExprReads(x.X)
 		case *cminus.DeclStmt:
 			for _, it := range x.Items {
+				scanExprReads(it.Init)
 				if len(it.Dims) == 0 && it.PtrDeep == 0 {
 					// A body-local declaration: definitely private.
 					if !seenScalar[it.Name] {
@@ -197,26 +210,21 @@ func CollectAccesses(loop *cminus.ForStmt, meta *normalize.LoopMeta) *LoopAccess
 			if v, lo, hi, ok := affineInnerRange(x); ok {
 				info.InnerRanges[v] = [2]symbolic.Expr{info.applySubst(lo), info.applySubst(hi)}
 			}
-			// The inner index is written (but it is a loop-private var).
+			scanStmt(x.Init)
+			// In the body the index ranges over the loop (InnerRanges);
+			// it is no copy of its start.
 			if v, _, ok := initVar(x.Init); ok {
-				if !seenScalar[v] {
-					seenScalar[v] = true
-					info.ScalarFirstIsWrite[v] = true
-				}
-				info.ScalarWrites[v] = true
-				info.Reductions[v] = ""
-				delete(info.Reductions, v)
-			}
-			if x.Init != nil {
-				cminus.StmtExprs(x.Init, func(e cminus.Expr) bool { return true })
-				if a, ok := x.Init.(*cminus.AssignStmt); ok {
-					scanExprReads(a.RHS)
-				}
+				delete(copyEnv, v)
 			}
 			scanExprReads(x.Cond)
 			for _, st := range x.Body.Stmts {
 				scanStmt(st)
 			}
+			// The post runs only after an iteration: what it writes is
+			// no copy past the loop.
+			condDepth++
+			scanStmt(x.Post)
+			condDepth--
 		case *cminus.WhileStmt:
 			scanExprReads(x.Cond)
 			for _, st := range x.Body.Stmts {

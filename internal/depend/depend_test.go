@@ -352,6 +352,24 @@ void f(int n, double *out) {
 	}
 }
 
+// TestWritesElementIncrementBlocks: a ++ on an element in an inner
+// loop's condition reads and writes that element on every test, so the
+// outer loop carries a dependence on it, at every level.
+func TestWritesElementIncrementBlocks(t *testing.T) {
+	src := `
+void f(int n, int *cnt, double *out) {
+    int i, j;
+    for (i = 0; i < n; i++) { for (j = 0; cnt[0]++ < 3; j++) { } out[i] = 1; }
+}
+`
+	for _, level := range []phase2.Level{phase2.LevelClassical, phase2.LevelBase, phase2.LevelNew} {
+		d := analyzeLoop(t, src, "", "f", 1, level)
+		if d.Parallel || !strings.Contains(d.Reason, `"cnt"`) {
+			t.Errorf("%s: parallel %v, reason %q; want serial on cnt", level, d.Parallel, d.Reason)
+		}
+	}
+}
+
 // TestStencilShiftBlocks: a[i] = a[i+1] has a cross-iteration dependence.
 func TestStencilShiftBlocks(t *testing.T) {
 	src := `

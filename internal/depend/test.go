@@ -128,9 +128,6 @@ func (t *Tester) analyze(loop *cminus.ForStmt, meta *normalize.LoopMeta) *Decisi
 	}
 	sort.Strings(names)
 	for _, v := range names {
-		if v == meta.Var {
-			continue
-		}
 		if op, ok := info.Reductions[v]; ok && op != "" {
 			d.Reductions[v] = op
 			continue

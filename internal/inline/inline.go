@@ -145,20 +145,9 @@ func hasReturn(blk *cminus.Block) bool {
 	return found
 }
 
-// renameBlock applies the renaming to every identifier and relabels loops
-// so labels stay unique in the caller.
+// renameBlock applies the renaming to every identifier, each once, and
+// relabels loops so labels stay unique in the caller.
 func renameBlock(blk *cminus.Block, rename map[string]string, suffix string) {
-	var rExpr func(e cminus.Expr)
-	rExpr = func(e cminus.Expr) {
-		cminus.WalkExprs(e, func(x cminus.Expr) bool {
-			if id, ok := x.(*cminus.Ident); ok {
-				if to, ok := rename[id.Name]; ok {
-					id.Name = to
-				}
-			}
-			return true
-		})
-	}
 	cminus.WalkStmts(blk, func(s cminus.Stmt) bool {
 		switch x := s.(type) {
 		case *cminus.ForStmt:
@@ -170,49 +159,14 @@ func renameBlock(blk *cminus.Block, rename map[string]string, suffix string) {
 				}
 			}
 		}
-		cminus.StmtExprs(s, func(e cminus.Expr) bool { return true })
-		return true
-	})
-	// Expression renaming: visit statements again, renaming every
-	// directly-referenced expression tree.
-	cminus.WalkStmts(blk, func(s cminus.Stmt) bool {
-		switch x := s.(type) {
-		case *cminus.AssignStmt:
-			rExpr(x.LHS)
-			rExpr(x.RHS)
-		case *cminus.ExprStmt:
-			rExpr(x.X)
-		case *cminus.IfStmt:
-			rExpr(x.Cond)
-		case *cminus.ForStmt:
-			if x.Init != nil {
-				cminus.StmtExprs(x.Init, func(e cminus.Expr) bool { rExpr(e); return false })
-				if a, ok := x.Init.(*cminus.AssignStmt); ok {
-					rExpr(a.LHS)
-					rExpr(a.RHS)
+		cminus.StmtExprs(s, func(e cminus.Expr) bool {
+			if id, ok := e.(*cminus.Ident); ok {
+				if to, ok := rename[id.Name]; ok {
+					id.Name = to
 				}
 			}
-			rExpr(x.Cond)
-			if p, ok := x.Post.(*cminus.AssignStmt); ok {
-				rExpr(p.LHS)
-				rExpr(p.RHS)
-			} else if p, ok := x.Post.(*cminus.ExprStmt); ok {
-				rExpr(p.X)
-			}
-		case *cminus.WhileStmt:
-			rExpr(x.Cond)
-		case *cminus.DeclStmt:
-			for _, it := range x.Items {
-				if it.Init != nil {
-					rExpr(it.Init)
-				}
-				for _, d := range it.Dims {
-					rExpr(d)
-				}
-			}
-		case *cminus.ReturnStmt:
-			rExpr(x.X)
-		}
+			return true
+		})
 		return true
 	})
 }

@@ -175,3 +175,19 @@ void driver(int *a) { mid(a, 5); }
 		t.Errorf("a[0] = %d, want 6", a.Ints[0])
 	}
 }
+
+// TestInlineRenamesOnce: each name of the callee is renamed once, in a
+// loop's header as in its body, so swapped array arguments stay
+// swapped: the post steps by b[0], the caller's array bound to a.
+func TestInlineRenamesOnce(t *testing.T) {
+	prog := cminus.MustParse(`
+void g(int n, int *a, int *b) { int i; for (i = 0; i < n; i = i + a[0]) { b[i] = 1; } }
+void f(int n, int *a, int *b) { g(n, b, a); }
+`)
+	src := cminus.Print(&cminus.Program{Funcs: []*cminus.FuncDecl{Expand(prog, 3).Func("f")}})
+	for _, want := range []string{"i_inl1 = 0", "i_inl1 < n_inl1", "i_inl1 = i_inl1 + b[0]", "a[i_inl1] = 1"} {
+		if !strings.Contains(src, want) {
+			t.Errorf("inlined f lacks %q:\n%s", want, src)
+		}
+	}
+}

@@ -1940,10 +1940,9 @@ func (bc *bcCompiler) assign(x *cminus.AssignStmt) {
 // compound bound b the loop cannot change: v is a local int slot, b is
 // a pure int expression, neither a literal nor a lone name (those are
 // already an immediate or a register), that reads only local int slots,
-// and neither the body nor the post assigns any name b reads — by =,
-// op=, ++ or --, or by declaring the same name. Locals change only
-// through their own names, so b holds one value for the whole loop.
-// It returns v's slot and the compare-branch opcode.
+// and the loop writes no name b reads (cminus.Writes). Locals change
+// only through their own names, so b holds one value for the whole
+// loop. It returns v's slot and the compare-branch opcode.
 func (bc *bcCompiler) invariantBound(loop *cminus.ForStmt) (v int32, op Opcode, b cminus.Expr, ok bool) {
 	c, isBin := loop.Cond.(*cminus.BinaryExpr)
 	if !isBin || (c.Op != "<" && c.Op != "<=") {
@@ -1969,42 +1968,20 @@ func (bc *bcCompiler) invariantBound(loop *cminus.ForStmt) (v int32, op Opcode, 
 		}
 		return local
 	})
-	if !local || assignsAny(loop.Body, names) || assignsAny(loop.Post, names) {
+	if !local {
 		return 0, 0, nil, false
+	}
+	written, _ := cminus.Writes(loop)
+	for _, name := range written {
+		if names[name] {
+			return 0, 0, nil, false
+		}
 	}
 	op = opJILt
 	if c.Op == "<=" {
 		op = opJILe
 	}
 	return int32(bc.r.sym(id).idx), op, c.Y, true
-}
-
-// assignsAny reports whether s (nil or not), or a statement or
-// expression inside it, assigns a scalar named in names or declares one.
-func assignsAny(s cminus.Stmt, names map[string]bool) bool {
-	found := false
-	cminus.WalkStmts(s, func(st cminus.Stmt) bool {
-		switch x := st.(type) {
-		case *cminus.AssignStmt:
-			if id, ok := x.LHS.(*cminus.Ident); ok && names[id.Name] {
-				found = true
-			}
-		case *cminus.DeclStmt:
-			for _, it := range x.Items {
-				found = found || names[it.Name]
-			}
-		}
-		cminus.StmtExprs(st, func(e cminus.Expr) bool {
-			if u, ok := e.(*cminus.UnaryExpr); ok && (u.Op == "++" || u.Op == "--") {
-				if id, ok := u.X.(*cminus.Ident); ok && names[id.Name] {
-					found = true
-				}
-			}
-			return !found
-		})
-		return !found
-	})
-	return found
 }
 
 func (bc *bcCompiler) serialFor(loop *cminus.ForStmt) {

@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/cminus"
+	"repro/internal/parallelize"
+	"repro/internal/phase2"
 )
 
 // vmFuzzSeeds mirrors FuzzAnalyze's seed corpus (internal/core): the
@@ -74,6 +76,9 @@ var vmFuzzSeeds = []string{
 	`void f(int n, int *a) { int i, j, c; c = 0; for (i = 0; i < n - 1 - 1; i = i + 1) { for (j = 0; j <= n - 2; j++) { c = c + 1; } a[i] = c; } }`,
 	`void f(int n, int *a) { int i, j, m; m = 8; for (i = 0; i < m - 1; i++) { m = m - 1; a[i] = m; } for (i = 0; i < 8 - m; i++) { for (j = 0; m++ < 0; j++) { } a[i] = m; } for (i = 0; i < m - 1; m--) { i = i + 1; a[i] = m; } }`,
 	`int g; void shrink(int k) { g = g - k; } void f(int n, int *a) { int i; g = n + 4; for (i = 0; i < g - 2; i++) { shrink(1); a[i] = g; } }`,
+	// A -- in an inner loop's condition changes m, so a[i] = m + i holds
+	// no monotone section; the scatter through a[i + 1] must stay serial.
+	`void f(int n, int m, int *a, double *y, double *x) { int i, j; for (i = 0; i < n; i++) { a[i] = m + i; for (j = 0; m-- > 100; j++) { } } for (i = 0; i < n - 1; i++) { y[a[i + 1]] = x[i]; } }`,
 }
 
 // vmFuzzBudget bounds a VM run so fuzz-generated unbounded loops (and
@@ -136,28 +141,32 @@ func vmFuzzArgs(fn *cminus.FuncDecl) (args []Arg, arrs []*Array) {
 	return args, arrs
 }
 
-// runEngineFuzz parses src fresh (each engine gets its own machine and
-// argument set), runs fn on the named engine, and snapshots the
-// outcome. resource is true when the run hit the step budget — only the
-// vm engine is budgeted, and a budgeted-out input is skipped entirely.
-func runEngineFuzz(src, engine, fnName string, b *budget.B) (snap *engineSnapshot, resource bool) {
+// runEngineFuzz runs fn on the named engine and snapshots the outcome.
+// With a plan it runs the plan's program under the plan on workers
+// goroutines; without one it runs src, parsed fresh, on one. Each run
+// gets its own machine and argument set. resource is true when the run
+// hit the step budget — only vm runs are budgeted, and a budgeted-out
+// input is skipped.
+func runEngineFuzz(src, engine, fnName string, b *budget.B, plan *parallelize.Plan, workers int) (snap *engineSnapshot, stats Stats, resource bool) {
 	prog, err := cminus.Parse(src)
 	if err != nil {
-		return nil, false
+		return nil, stats, false
+	}
+	if plan != nil {
+		prog = plan.Program()
 	}
 	m, err := New(prog)
 	if err != nil {
 		// Global-initializer errors are engine-independent; nothing to
 		// compare.
-		return nil, false
+		return nil, stats, false
 	}
-	m.Interp = engine
-	m.Budget = b
+	m.Interp, m.Budget, m.Plan, m.Workers = engine, b, plan, workers
 	fn := prog.Func(fnName)
 	args, arrs := vmFuzzArgs(fn)
 	callErr := m.Call(fnName, args...)
 	if callErr != nil && (errors.Is(callErr, budget.ErrBudget) || errors.Is(callErr, budget.ErrCanceled)) {
-		return nil, true
+		return nil, stats, true
 	}
 	snap = &engineSnapshot{globals: map[string]uint64{}, arrays: map[string][]uint64{}}
 	if callErr != nil {
@@ -176,7 +185,50 @@ func runEngineFuzz(src, engine, fnName string, b *budget.B) (snap *engineSnapsho
 	for i, a := range arrs {
 		snap.arrays[fmt.Sprintf("p%d", i)] = snapshotArray(a)
 	}
-	return snap, false
+	return snap, m.Stats, false
+}
+
+// fuzzPlans returns src's New-level plan and the same plan with its
+// estimates cleared (openPlan), so that regions open at fuzz sizes too;
+// nil when the bounded analysis gives up or contains a crash.
+func fuzzPlans(src string) []*parallelize.Plan {
+	plans := make([]*parallelize.Plan, 2)
+	for i := range plans {
+		prog, err := cminus.Parse(src)
+		if err != nil {
+			return nil
+		}
+		opts := &parallelize.Options{Budget: budget.New(nil, 4*vmFuzzBudget)}
+		if err := budget.Guard(func() { plans[i] = parallelize.Run(prog, phase2.LevelNew, opts) }); err != nil || len(plans[i].Diagnostics) > 0 {
+			return nil
+		}
+	}
+	openPlan(plans[1])
+	return plans
+}
+
+// floatReduction reports whether a loop the plan chooses reduces a
+// double (or a name it cannot type): the combine then rounds in another
+// order than the serial loop, while an int reduction is exact in any.
+func floatReduction(plan *parallelize.Plan) bool {
+	prog := plan.Program()
+	for _, fn := range prog.Funcs {
+		fp := plan.Funcs[fn.Name]
+		if fp == nil || fn.Body == nil {
+			continue
+		}
+		binds := cminus.Bind(prog, fn)
+		for _, loop := range cminus.NumberLoops(fn.Body) {
+			if lp := fp.Loops[loop.Label]; lp != nil && lp.Chosen {
+				for _, red := range lp.Decision.SortedReductions() {
+					if bd := binds.Lookup(loop, red.Name, false); bd == nil || bd.Float {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
 }
 
 func diffSnapshots(a, b *engineSnapshot) string {
@@ -224,7 +276,11 @@ func diffSnapshots(a, b *engineSnapshot) string {
 // be bit-identical. The vm runs first so a budget abort (unbounded loop
 // or recursion) skips the input before the unbudgeted tree walker sees
 // it — if the vm terminates, the tree walker executes the same
-// computation and terminates too.
+// computation and terminates too. A function that runs without error
+// then runs on 2 workers under its New-level plan and under the cleared
+// plan, on both engines: the two must end bit-identical with equal
+// Stats, and, unless a chosen loop reduces a double, equal to the
+// serial tree run.
 func checkVMDifferential(t *testing.T, src string) {
 	t.Helper()
 	if len(src) > 1<<16 {
@@ -234,6 +290,7 @@ func checkVMDifferential(t *testing.T, src string) {
 	if err != nil {
 		return
 	}
+	plans := fuzzPlans(src)
 	ran := 0
 	for _, fn := range prog.Funcs {
 		if fn.Body == nil {
@@ -242,20 +299,38 @@ func checkVMDifferential(t *testing.T, src string) {
 		if ran++; ran > 8 {
 			break
 		}
-		vm, resource := runEngineFuzz(src, "vm", fn.Name, budget.New(nil, vmFuzzBudget))
+		vm, _, resource := runEngineFuzz(src, "vm", fn.Name, budget.New(nil, vmFuzzBudget), nil, 1)
 		if resource {
 			continue
 		}
 		if vm == nil {
 			return
 		}
-		tree, _ := runEngineFuzz(src, "tree", fn.Name, nil)
+		tree, _, _ := runEngineFuzz(src, "tree", fn.Name, nil, nil, 1)
 		if vm.err != tree.err {
 			t.Fatalf("vm vs tree diagnostics diverge on %s: %q vs %q\ninput: %q", fn.Name, vm.err, tree.err, src)
 		}
-		if vm.err == "" {
-			if d := diffSnapshots(vm, tree); d != "" {
-				t.Fatalf("vm vs tree diverge on %s: %s\ninput: %q", fn.Name, d, src)
+		if vm.err != "" {
+			continue
+		}
+		if d := diffSnapshots(vm, tree); d != "" {
+			t.Fatalf("vm vs tree diverge on %s: %s\ninput: %q", fn.Name, d, src)
+		}
+		for i, plan := range plans {
+			pvm, vmStats, resource := runEngineFuzz(src, "vm", fn.Name, budget.New(nil, vmFuzzBudget), plan, 2)
+			if resource || pvm == nil {
+				continue
+			}
+			ptree, treeStats, _ := runEngineFuzz(src, "tree", fn.Name, nil, plan, 2)
+			if d := diffSnapshots(pvm, ptree); d != "" || vmStats != treeStats {
+				t.Fatalf("vm vs tree diverge on %s under plan %d at 2 workers: %s, counts %+v vs %+v\ninput: %q",
+					fn.Name, i, d, vmStats, treeStats, src)
+			}
+			if floatReduction(plan) {
+				continue
+			}
+			if d := diffSnapshots(ptree, tree); d != "" {
+				t.Fatalf("plan %d at 2 workers diverges from the serial run on %s: %s\ninput: %q", i, fn.Name, d, src)
 			}
 		}
 	}

@@ -15,6 +15,7 @@ package normalize
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cminus"
 )
@@ -130,13 +131,14 @@ func (n *normalizer) normalizeStmt(s cminus.Stmt) []cminus.Stmt {
 }
 
 func (n *normalizer) normalizeAssign(x *cminus.AssignStmt) []cminus.Stmt {
-	// x op= e  becomes  x = x op (e).
+	// x op= e  becomes  x = x op (e), with x's side effects (a[m++] op= e)
+	// hoisted once: C evaluates x once.
+	preL, lhs := n.hoistSideEffects(x.LHS)
 	rhs := x.RHS
 	if x.Op != "" {
-		rhs = &cminus.BinaryExpr{Op: x.Op, X: cminus.CloneExpr(x.LHS), Y: rhs, P: x.P}
+		rhs = &cminus.BinaryExpr{Op: x.Op, X: cminus.CloneExpr(lhs), Y: rhs, P: x.P}
 	}
 	preR, rhs := n.hoistSideEffects(rhs)
-	preL, lhs := n.hoistSideEffects(x.LHS)
 	out := append(preR, preL...)
 	return append(out, &cminus.AssignStmt{LHS: lhs, RHS: rhs, P: x.P})
 }
@@ -254,6 +256,9 @@ func (n *normalizer) normalizeFor(x *cminus.ForStmt) []cminus.Stmt {
 	}
 	if call, bad := firstSideEffectCall(x); bad {
 		return ineligible("side-effecting call: " + call)
+	}
+	if reason := writesIndexOrBound(x, ivar, lb, ub); reason != "" {
+		return ineligible(reason)
 	}
 
 	meta.Var = ivar
@@ -414,9 +419,38 @@ func firstSideEffectCall(loop *cminus.ForStmt) (string, bool) {
 	return name, name != ""
 }
 
-// substituteIdentBlock replaces uses of name with repl throughout a block
-// (including nested statements), leaving assignment targets alone only when
-// they are the plain loop variable itself (the normalized loop owns it).
+// writesIndexOrBound explains why a loop with index ivar and bounds lb
+// and ub is not canonical when its lower bound, condition or body (inner
+// loops' headers included) writes the index, or when anything but its
+// post writes a name either bound reads, the index included: the count
+// ub - lb is taken once, and the shift rewrites the index as ivar + lb
+// throughout the body. A scalar and an array of one name count as one
+// name here. It returns "" for a loop that leaves them alone.
+func writesIndexOrBound(x *cminus.ForStmt, ivar string, lb, ub cminus.Expr) string {
+	// The loop without its post, its init reduced to the lower bound.
+	scalars, arrays := cminus.Writes(&cminus.ForStmt{Init: &cminus.ExprStmt{X: lb}, Cond: x.Cond, Body: x.Body})
+	if slices.Contains(scalars, ivar) {
+		return fmt.Sprintf("loop writes its index %q", ivar)
+	}
+	var written string
+	read := func(e cminus.Expr) bool {
+		if id, ok := e.(*cminus.Ident); ok && (id.Name == ivar || slices.Contains(scalars, id.Name) || slices.Contains(arrays, id.Name)) {
+			written = id.Name
+		}
+		return written == ""
+	}
+	cminus.WalkExprs(lb, read)
+	cminus.WalkExprs(ub, read)
+	if written != "" {
+		return fmt.Sprintf("loop writes %q, which a bound reads", written)
+	}
+	return ""
+}
+
+// substituteIdentBlock replaces every use of name with repl throughout a
+// block, nested statements included. It rewrites an assignment target
+// too, so the block must not write name: normalizeFor shifts only a loop
+// whose body leaves its index alone (writesIndexOrBound).
 func substituteIdentBlock(blk *cminus.Block, name string, repl cminus.Expr) *cminus.Block {
 	var substE func(e cminus.Expr) cminus.Expr
 	substE = func(e cminus.Expr) cminus.Expr {

@@ -1,6 +1,7 @@
 package parallelize
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -127,10 +128,10 @@ func workOf(loop *cminus.ForStmt, metas map[string]*normalize.LoopMeta) *Work {
 // workScan sums the units of a region's iterations.
 type workScan struct {
 	metas map[string]*normalize.LoopMeta
-	// body is the region's body and written the names it may change,
-	// found on the first count that reads a name.
+	// body is the region's body until the first count that reads a
+	// name takes written, the scalars it may change, from it.
 	body    *cminus.Block
-	written map[string]bool
+	written []string
 	ivar    string
 }
 
@@ -266,45 +267,17 @@ func (w *workScan) count(e cminus.Expr) bool {
 		if x.Name == w.ivar {
 			return true
 		}
-		if w.written == nil && w.body != nil {
-			w.written = writes(w.body)
+		if w.body != nil {
+			w.written, _ = cminus.Writes(w.body)
+			w.body = nil
 		}
-		return !w.written[x.Name]
+		return !slices.Contains(w.written, x.Name)
 	case *cminus.UnaryExpr:
 		return x.Op == "-" && w.count(x.X)
 	case *cminus.BinaryExpr:
 		return (x.Op == "+" || x.Op == "-" || x.Op == "*") && w.count(x.X) && w.count(x.Y)
 	}
 	return false
-}
-
-// writes returns the names a region body may change: every name it
-// assigns, increments, decrements or declares, inner loops' clauses
-// included.
-func writes(body *cminus.Block) map[string]bool {
-	out := map[string]bool{}
-	cminus.WalkStmts(body, func(s cminus.Stmt) bool {
-		switch x := s.(type) {
-		case *cminus.AssignStmt:
-			if id, ok := x.LHS.(*cminus.Ident); ok {
-				out[id.Name] = true
-			}
-		case *cminus.DeclStmt:
-			for _, it := range x.Items {
-				out[it.Name] = true
-			}
-		}
-		cminus.StmtExprs(s, func(e cminus.Expr) bool {
-			if u, ok := e.(*cminus.UnaryExpr); ok && (u.Op == "++" || u.Op == "--") {
-				if id, ok := u.X.(*cminus.Ident); ok {
-					out[id.Name] = true
-				}
-			}
-			return true
-		})
-		return true
-	})
-	return out
 }
 
 func mul(x, y cminus.Expr) cminus.Expr { return &cminus.BinaryExpr{Op: "*", X: x, Y: y} }

@@ -155,35 +155,14 @@ func (ex *executor) applyCollapsed(st *State, s cminus.Stmt, cond symbolic.Expr)
 		inner = ex.cf.Collapsed[label]
 	}
 	if inner == nil || inner.Failed {
-		// Unknown effect: kill everything the loop assigns.
-		if inner != nil {
-			for _, v := range inner.Assigned {
-				if ex.lvv[v] {
-					st.Scalars[v] = symbolic.Bottom{}
-				}
-			}
-			for arr := range inner.Arrays {
-				st.Arrays[arr] = []ArrayWrite{{Value: symbolic.Bottom{}}}
-			}
-			return
+		// Unknown effect: kill everything the loop writes, its header
+		// included.
+		scalars, arrays := cminus.Writes(s)
+		for _, v := range scalars {
+			st.Scalars[v] = symbolic.Bottom{}
 		}
-		if f, ok := s.(*cminus.ForStmt); ok {
-			scalars, arrays := AssignedVars(f.Body, nil)
-			for _, v := range scalars {
-				st.Scalars[v] = symbolic.Bottom{}
-			}
-			for _, a := range arrays {
-				st.Arrays[a] = []ArrayWrite{{Value: symbolic.Bottom{}}}
-			}
-		}
-		if w, ok := s.(*cminus.WhileStmt); ok {
-			scalars, arrays := AssignedVars(w.Body, nil)
-			for _, v := range scalars {
-				st.Scalars[v] = symbolic.Bottom{}
-			}
-			for _, a := range arrays {
-				st.Arrays[a] = []ArrayWrite{{Value: symbolic.Bottom{}}}
-			}
+		for _, a := range arrays {
+			st.Arrays[a] = []ArrayWrite{{Value: symbolic.Bottom{}}}
 		}
 		return
 	}

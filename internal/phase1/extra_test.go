@@ -132,7 +132,6 @@ void f(int n, int m, int *a) {
 					Value: symbolic.NewRange(symbolic.Zero, symbolic.SubExpr(symbolic.NewSym("m"), symbolic.One)),
 				}},
 			},
-			Assigned: []string{"j", "a"},
 		},
 	}
 	out, err := Run(outer.Body, &Config{Meta: res.Loops["L1"], Collapsed: collapsed})
@@ -146,43 +145,6 @@ void f(int n, int m, int *a) {
 	// base substituted with 10*i.
 	if got := ws[0].Indices[0].String(); got != "[10*i:-1+10*i+m]" {
 		t.Errorf("collapsed write index = %s", got)
-	}
-}
-
-// TestAssignedVarsFindsEverything.
-func TestAssignedVarsFindsEverything(t *testing.T) {
-	src := `
-void f(int n, int *a, int *b) {
-    int i, j, x, y;
-    for (i = 0; i < n; i++) {
-        x = 1;
-        y++;
-        a[i] = x;
-        for (j = 0; j < n; j++) {
-            b[j] = y;
-        }
-    }
-}
-`
-	prog := cminus.MustParse(src)
-	res := normalize.Func(prog.Func("f"))
-	var outer *cminus.ForStmt
-	cminus.WalkStmts(res.Func.Body, func(s cminus.Stmt) bool {
-		if fs, ok := s.(*cminus.ForStmt); ok && outer == nil {
-			outer = fs
-		}
-		return true
-	})
-	scalars, arrays := AssignedVars(outer.Body, nil)
-	wantS := map[string]bool{"x": true, "y": true, "j": true}
-	for _, s := range scalars {
-		delete(wantS, s)
-	}
-	if len(wantS) > 0 {
-		t.Errorf("missing scalars: %v (got %v)", wantS, scalars)
-	}
-	if len(arrays) != 2 {
-		t.Errorf("arrays: %v", arrays)
 	}
 }
 

@@ -50,14 +50,13 @@ func (w ArrayWrite) String() string {
 
 // CollapsedLoop is the result of Phase 2 for an inner loop: the loop node
 // is replaced by assignments of the aggregated expressions (in Λ terms) to
-// each LVV. A nil CollapsedLoop (or one with Failed set) kills the
-// variables in Assigned.
+// each LVV. A nil CollapsedLoop (or one with Failed set) kills every name
+// the loop writes (cminus.Writes).
 type CollapsedLoop struct {
-	Label    string
-	Scalars  map[string]symbolic.Expr
-	Arrays   map[string][]ArrayWrite
-	Assigned []string
-	// Failed marks a loop whose aggregation failed; its assignments kill.
+	Label   string
+	Scalars map[string]symbolic.Expr
+	Arrays  map[string][]ArrayWrite
+	// Failed marks a loop whose aggregation failed.
 	Failed bool
 }
 
@@ -128,48 +127,6 @@ type Result struct {
 	ArraysWritten []string
 }
 
-// AssignedVars returns the scalars and arrays assigned anywhere in the
-// loop body (including via collapsed inner loops).
-func AssignedVars(body *cminus.Block, collapsed map[string]*CollapsedLoop) (scalars, arrays []string) {
-	sset := map[string]bool{}
-	aset := map[string]bool{}
-	cminus.WalkStmts(body, func(s cminus.Stmt) bool {
-		switch x := s.(type) {
-		case *cminus.AssignStmt:
-			if id, ok := x.LHS.(*cminus.Ident); ok {
-				sset[id.Name] = true
-			} else if name, _, ok := cminus.ArrayBase(x.LHS); ok {
-				aset[name] = true
-			}
-		case *cminus.ExprStmt:
-			if u, ok := x.X.(*cminus.UnaryExpr); ok && (u.Op == "++" || u.Op == "--") {
-				if id, ok := u.X.(*cminus.Ident); ok {
-					sset[id.Name] = true
-				}
-			}
-		case *cminus.ForStmt:
-			// The loop index of a nested loop is also assigned.
-			if x.Init != nil {
-				if a, ok := x.Init.(*cminus.AssignStmt); ok {
-					if id, ok := a.LHS.(*cminus.Ident); ok {
-						sset[id.Name] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	for s := range sset {
-		scalars = append(scalars, s)
-	}
-	for a := range aset {
-		arrays = append(arrays, a)
-	}
-	sort.Strings(scalars)
-	sort.Strings(arrays)
-	return scalars, arrays
-}
-
 // Run performs the Phase-1 symbolic execution over the loop body.
 func Run(body *cminus.Block, cf *Config) (*Result, error) {
 	faults.Inject("phase1.Run", "", cf.Budget)
@@ -177,7 +134,7 @@ func Run(body *cminus.Block, cf *Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scalars, arrays := AssignedVars(body, cf.Collapsed)
+	scalars, arrays := cminus.Writes(body)
 
 	res := &Result{LVVs: scalars, ArraysWritten: arrays}
 

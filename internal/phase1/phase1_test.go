@@ -263,7 +263,6 @@ void f(int n, int m, int *a, int *c) {
 				),
 				"j": symbolic.NewSym("m"),
 			},
-			Assigned: []string{"p", "j"},
 		},
 	}
 	out, err := Run(outer.Body, &Config{Meta: res.Loops["L1"], Collapsed: collapsed})
@@ -306,7 +305,7 @@ void f(int n, int m, int *a, int *c) {
 		return true
 	})
 	collapsed := map[string]*CollapsedLoop{
-		"L2": {Label: "L2", Failed: true, Assigned: []string{"p", "j"}},
+		"L2": {Label: "L2", Failed: true},
 	}
 	out, err := Run(outer.Body, &Config{Meta: res.Loops["L1"], Collapsed: collapsed})
 	if err != nil {

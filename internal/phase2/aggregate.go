@@ -136,15 +136,12 @@ func AggregateOpts(level Level, opts Opts, meta *normalize.LoopMeta, p1 *phase1.
 		agg := ag.aggregateScalar(v)
 		out.Aggregated[v] = agg
 		col.Scalars[v] = agg
-		col.Assigned = append(col.Assigned, v)
 	}
 	// The loop index's final value is the iteration count.
 	col.Scalars[ag.ivar] = n
-	col.Assigned = append(col.Assigned, ag.ivar)
 	for _, a := range arrayNames {
 		ws := ag.aggregateArrayWrites(a, ag.svd.Arrays[a])
 		col.Arrays[a] = ws
-		col.Assigned = append(col.Assigned, a)
 		for _, w := range ws {
 			out.Aggregated[a] = w.Value
 		}

@@ -127,38 +127,27 @@ func (w *walker) walkStmt(s cminus.Stmt) {
 		collapsed := w.analyzeLoop(x)
 		w.afterLoop(x, collapsed)
 	case *cminus.WhileStmt:
-		scalars, arrays := phase1.AssignedVars(x.Body, nil)
-		for _, v := range scalars {
-			delete(w.outerVals, v)
-			w.dict.Forget(v)
-		}
-		for _, a := range arrays {
-			w.fa.Props.Invalidate(a)
-			delete(w.arrayPre, a)
-		}
+		w.kill(x)
 	case *cminus.Block:
 		w.walkBlock(x)
 	case *cminus.IfStmt:
 		// Conservative: values assigned under the if become unknown, and
 		// conditionally-written arrays lose their facts.
-		kill := func(b *cminus.Block) {
-			if b == nil {
-				return
-			}
-			scalars, arrays := phase1.AssignedVars(b, nil)
-			for _, v := range scalars {
-				delete(w.outerVals, v)
-				w.dict.Forget(v)
-			}
-			for _, a := range arrays {
-				w.fa.Props.Invalidate(a)
-				delete(w.arrayPre, a)
-			}
-		}
-		kill(x.Then)
-		if eb, ok := x.Else.(*cminus.Block); ok {
-			kill(eb)
-		}
+		w.kill(x)
+	}
+}
+
+// kill forgets the values of the scalars s may write and the facts and
+// pre-loop writes of the arrays it may write.
+func (w *walker) kill(s cminus.Stmt) {
+	scalars, arrays := cminus.Writes(s)
+	for _, v := range scalars {
+		delete(w.outerVals, v)
+		w.dict.Forget(v)
+	}
+	for _, a := range arrays {
+		w.fa.Props.Invalidate(a)
+		delete(w.arrayPre, a)
 	}
 }
 
@@ -184,15 +173,17 @@ func (w *walker) afterLoop(loop *cminus.ForStmt, collapsed *phase1.CollapsedLoop
 	// Every array the loop writes either gets fresh facts, is a
 	// recognized fact-preserving swap loop, or loses its facts — keeping
 	// a stale fact past an overwrite would be unsound.
+	failed := collapsed == nil || collapsed.Failed
 	written := map[string]bool{}
-	if collapsed != nil {
-		for a := range collapsed.Arrays {
+	var killed []string
+	if failed {
+		scalars, arrays := cminus.Writes(loop)
+		killed = scalars
+		for _, a := range arrays {
 			written[a] = true
 		}
-	}
-	if collapsed == nil || collapsed.Failed {
-		_, arrays := phase1.AssignedVars(loop.Body, nil)
-		for _, a := range arrays {
+	} else {
+		for a := range collapsed.Arrays {
 			written[a] = true
 		}
 	}
@@ -218,18 +209,10 @@ func (w *walker) afterLoop(loop *cminus.ForStmt, collapsed *phase1.CollapsedLoop
 		w.fa.Props.Add(p)
 	}
 
-	if collapsed == nil || collapsed.Failed {
-		if collapsed != nil {
-			for _, v := range collapsed.Assigned {
-				delete(w.outerVals, v)
-				w.dict.Forget(v)
-			}
-		} else {
-			scalars, _ := phase1.AssignedVars(loop.Body, nil)
-			for _, v := range scalars {
-				delete(w.outerVals, v)
-				w.dict.Forget(v)
-			}
+	if failed {
+		for _, v := range killed {
+			delete(w.outerVals, v)
+			w.dict.Forget(v)
 		}
 		return
 	}
@@ -378,16 +361,7 @@ func (w *walker) analyzeLoop(loop *cminus.ForStmt) *phase1.CollapsedLoop {
 	meta := w.fa.Norm.Loops[loop.Label]
 	failed := func(reason string) *phase1.CollapsedLoop {
 		w.fa.Failures[loop.Label] = reason
-		scalars, arrays := phase1.AssignedVars(loop.Body, nil)
-		col := &phase1.CollapsedLoop{Label: loop.Label, Failed: true, Assigned: scalars}
-		col.Arrays = map[string][]phase1.ArrayWrite{}
-		for _, a := range arrays {
-			col.Arrays[a] = []phase1.ArrayWrite{{Value: symbolic.Bottom{}}}
-		}
-		if meta != nil && meta.Var != "" {
-			col.Assigned = append(col.Assigned, meta.Var)
-		}
-		return col
+		return &phase1.CollapsedLoop{Label: loop.Label, Failed: true}
 	}
 	if meta == nil {
 		return failed("no normalization metadata")
