@@ -213,9 +213,20 @@ func CollectAccesses(loop *cminus.ForStmt, meta *normalize.LoopMeta) *LoopAccess
 			scanStmt(x.Init)
 			// In the body the index ranges over the loop (InnerRanges);
 			// it is no copy of its start.
-			if v, _, ok := initVar(x.Init); ok {
-				delete(copyEnv, v)
+			index, _, _ := initVar(x.Init)
+			delete(copyEnv, index)
+			// Any other scalar the loop writes holds, in its body, the
+			// value an earlier trip left, and after it the last trip's:
+			// no copy made before the loop.
+			written, _ := cminus.Writes(x)
+			unknown := func() {
+				for _, v := range written {
+					if v != index {
+						copyEnv[v] = symbolic.Bottom{}
+					}
+				}
 			}
+			unknown()
 			scanExprReads(x.Cond)
 			for _, st := range x.Body.Stmts {
 				scanStmt(st)
@@ -225,6 +236,7 @@ func CollectAccesses(loop *cminus.ForStmt, meta *normalize.LoopMeta) *LoopAccess
 			condDepth++
 			scanStmt(x.Post)
 			condDepth--
+			unknown()
 		case *cminus.WhileStmt:
 			scanExprReads(x.Cond)
 			for _, st := range x.Body.Stmts {

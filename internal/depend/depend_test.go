@@ -370,6 +370,25 @@ void f(int n, int *cnt, double *out) {
 	}
 }
 
+// TestInnerLoopDropsCopies: a copy made before an inner loop that
+// changes the copied scalar says nothing about its value in the loop's
+// body or after it. Iteration i writes a[i] to a[i + 9], so the outer
+// loop carries a dependence on a, at every level.
+func TestInnerLoopDropsCopies(t *testing.T) {
+	src := `
+void f(int n, int *a) {
+    int i, j, m;
+    for (i = 0; i < n; i++) { m = i; for (j = 0; j < 10; j++) { a[m] = i; m = m + 1; } }
+}
+`
+	for _, level := range []phase2.Level{phase2.LevelClassical, phase2.LevelBase, phase2.LevelNew} {
+		d := analyzeLoop(t, src, "", "f", 1, level)
+		if d.Parallel || !strings.Contains(d.Reason, `"a"`) {
+			t.Errorf("%s: parallel %v, reason %q; want serial on a", level, d.Parallel, d.Reason)
+		}
+	}
+}
+
 // TestStencilShiftBlocks: a[i] = a[i+1] has a cross-iteration dependence.
 func TestStencilShiftBlocks(t *testing.T) {
 	src := `
