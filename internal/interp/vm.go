@@ -102,6 +102,70 @@ func vmArr1Fail(bf *bfunc, a *Array, i int64, aux int32) {
 	throwf("interp: array %s index %d out of range [0,%d) in dim 0", a.Name, i, a.Dims[0])
 }
 
+// rowIndex is the register, in a hoisted row's block, of dimension
+// d's invariant index value.
+func rowIndex(d, vdim int) int {
+	if d > vdim {
+		return 2 + d
+	}
+	return 3 + d
+}
+
+// vmRow runs opRow: it completes the row block's invariant index
+// values, then sets the offset of the invariant dimensions, or -1 when
+// the array is unknown, has another rank or an invariant index is out
+// of range, and the varying dimension's stride and extent.
+func vmRow(ints []int64, a *Array, in *Instr) {
+	rank, vdim := int(in.K>>32), int(uint32(in.K))
+	row := ints[in.A:]
+	row[3] = ints[in.C] + int64(in.D)
+	if rank > 2 || vdim == rank { // a second invariant dimension
+		row[4] = ints[in.Aux] + int64(in.E)
+	}
+	row[0], row[1], row[2] = -1, 0, 1
+	if a == nil || len(a.Dims) != rank {
+		return
+	}
+	off, stride := int64(0), int64(1)
+	for d := rank - 1; d >= 0; d-- {
+		if d == vdim {
+			row[1], row[2] = stride, a.Dims[d]
+		} else if ix := row[rowIndex(d, vdim)]; ix < 0 || ix >= a.Dims[d] {
+			return
+		} else {
+			off += ix * stride
+		}
+		stride *= a.Dims[d]
+	}
+	row[0] = off
+}
+
+// vmRowFail is the slow path of a hoisted row's access: it re-checks
+// the array, its rank and each dimension in order, with the row's
+// invariant index values and the varying index x, and throws what the
+// opAIdx chain would.
+//
+//go:noinline
+func vmRowFail(bf *bfunc, a *Array, row []int64, x int64, in *Instr) {
+	if a == nil {
+		throwf("%s", bf.strs[in.Aux])
+	}
+	rank, vdim := int(in.K>>32), int(uint32(in.K))
+	if len(a.Dims) != rank {
+		throwf("interp: array %s indexed with %d subscripts, has %d dims", a.Name, rank, len(a.Dims))
+	}
+	for d := 0; d < rank; d++ {
+		ix := x
+		if d != vdim {
+			ix = row[rowIndex(d, vdim)]
+		}
+		if ix < 0 || ix >= a.Dims[d] {
+			throwf("interp: array %s index %d out of range [0,%d) in dim %d", a.Name, ix, a.Dims[d], d)
+		}
+	}
+	panic("interp: a row access failed no check")
+}
+
 func vmIntCombine(k int64, a, b int64) int64 {
 	switch k {
 	case cmbAdd:
@@ -501,40 +565,6 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 			}
 			flts[in.A>>16] = flts[in.A>>16] + float64(flts[in.A&0xffff]*v)
 
-		case opOffLoadF, opOffStoreF:
-			// Fused multi-dim-indexed subscript feeding a 1-D float
-			// access: a2[a1[i][j]...+E]. The inner offset in ints[C] was
-			// already checked by the opAIdx chain, so the inner load is
-			// raw; the outer access keeps its full 1-D checks.
-			a2 := fr.arrs[in.B]
-			if a2 == nil {
-				throwf("%s", bf.strs[in.Aux])
-			}
-			a1 := fr.arrs[in.K]
-			ix := int64(in.E)
-			if a1.Float {
-				ix += int64(a1.Flts[ints[in.C]])
-			} else {
-				ix += a1.Ints[ints[in.C]]
-			}
-			if len(a2.Dims) != 1 || uint64(ix) >= uint64(a2.Dims[0]) {
-				vmArr1Fail(bf, a2, ix, in.Aux)
-			}
-			switch in.Op {
-			case opOffLoadF:
-				if a2.Float {
-					flts[in.A] = a2.Flts[ix]
-				} else {
-					flts[in.A] = float64(a2.Ints[ix])
-				}
-			default:
-				if a2.Float {
-					a2.Flts[ix] = flts[in.A]
-				} else {
-					a2.Ints[ix] = int64(flts[in.A])
-				}
-			}
-
 		case opAIdx0:
 			a := fr.arrs[in.B]
 			if a == nil {
@@ -580,19 +610,6 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 				throwf("interp: array %s index %d out of range [0,%d) in dim 1", a.Name, i1, a.Dims[1])
 			}
 			ints[in.A] = i0*a.Dims[1] + i1
-		case opAIdxNN:
-			a := fr.arrs[in.B]
-			d := in.K
-			i0 := ints[in.C] + int64(in.D)
-			if i0 < 0 || i0 >= a.Dims[d] {
-				throwf("interp: array %s index %d out of range [0,%d) in dim %d", a.Name, i0, a.Dims[d], d)
-			}
-			off := ints[in.A]*a.Dims[d] + i0
-			i1 := ints[in.Aux] + int64(in.E)
-			if i1 < 0 || i1 >= a.Dims[d+1] {
-				throwf("interp: array %s index %d out of range [0,%d) in dim %d", a.Name, i1, a.Dims[d+1], d+1)
-			}
-			ints[in.A] = off*a.Dims[d+1] + i1
 		case opALoadI:
 			a := fr.arrs[in.B]
 			if a.Float {
@@ -634,6 +651,42 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32, meter int32) (control, 
 				a.Flts[off] = vmFloatCombine(in.K, a.Flts[off], flts[in.A])
 			} else {
 				a.Ints[off] = int64(vmFloatCombine(in.K, float64(a.Ints[off]), flts[in.A]))
+			}
+
+		case opRow:
+			vmRow(ints, fr.arrs[in.B], in)
+		case opRowLoadI, opRowLoadF, opRowStoreI, opRowStoreF:
+			a, x := fr.arrs[in.B], ints[in.C]+int64(in.D)
+			off := ints[in.E]
+			if off < 0 || uint64(x) >= uint64(ints[in.E+2]) {
+				vmRowFail(bf, a, ints[in.E:], x, in)
+			}
+			off += x * ints[in.E+1]
+			switch in.Op {
+			case opRowLoadI:
+				if a.Float {
+					ints[in.A] = int64(a.Flts[off])
+				} else {
+					ints[in.A] = a.Ints[off]
+				}
+			case opRowLoadF:
+				if a.Float {
+					flts[in.A] = a.Flts[off]
+				} else {
+					flts[in.A] = float64(a.Ints[off])
+				}
+			case opRowStoreI:
+				if a.Float {
+					a.Flts[off] = float64(ints[in.A])
+				} else {
+					a.Ints[off] = ints[in.A]
+				}
+			default:
+				if a.Float {
+					a.Flts[off] = flts[in.A]
+				} else {
+					a.Ints[off] = int64(flts[in.A])
+				}
 			}
 
 		case opANew:
